@@ -107,66 +107,23 @@ def fixator_witness(F: PermGroup, Fp: PermGroup, h: HalfTree, sigma: Perm | None
     if sigma(a) != a:
         raise ValueError("sigma must fix the color of the defining edge")
 
-    core: dict = {}
-    branches: dict = {}
-    defaults: dict | None = {} if deg is None else None
-    if h.is_cylinder:
-        # fixed side is away from the base vertex; the facing component,
-        # including the base vertex, moves through constants matched to sigma
-        if t:
-            b0 = t[-1]
-            sig_b0 = _matching_f_element(F, b0, sigma(b0))
-        for k in range(len(t)):
-            core[t[:k]] = sig_b0
-        core[t] = sigma
-        for k in range(len(t)):
-            w = t[:k]
-            if deg is None:
-                defaults[w] = core[w]
-            else:
-                for c in range(deg):
-                    if (not w or c != w[-1]) and w + (c,) != t[: k + 1]:
-                        branches[(w, c)] = core[w]
-        if deg is None:
-            defaults[t] = Perm.identity(None)
-            for c in set(x for x, _ in sigma.patch):
-                if (not t or c != t[-1]) and c != a:
-                    branches[(t, c)] = _matching_f_element(F, c, sigma(c))
-        else:
-            for c in range(deg):
-                if t and c == t[-1]:
-                    continue
-                branches[(t, c)] = (
-                    Perm.identity(deg) if c == a else _matching_f_element(F, c, sigma(c))
-                )
-    else:
-        # fixed side contains the base vertex; only branches hanging off the
-        # facing vertex move
-        ident = Perm.identity(deg)
-        for k in range(len(t)):
-            w = t[:k]
-            core[w] = ident
-            if deg is None:
-                defaults[w] = ident
-            else:
-                for c in range(deg):
-                    if (not w or c != w[-1]) and w + (c,) != t[: k + 1]:
-                        branches[(w, c)] = ident
-        core[t] = sigma
-        if deg is None:
-            defaults[t] = Perm.identity(None)
-            for c in set(x for x, _ in sigma.patch):
-                if c != t[-1]:
-                    branches[(t, c)] = _matching_f_element(F, c, sigma(c))
-        else:
-            for c in range(deg):
-                if c == t[-1]:
-                    continue
-                branches[(t, c)] = _matching_f_element(F, c, sigma(c))
-
+    # the path from the base vertex to t moves rigidly; at t the default is
+    # the identity, which is the matching F-element at every color that sigma
+    # fixes because F acts freely, so only the moved colors need rules
+    rest = Perm.identity(deg)
+    if h.is_cylinder and t:
+        rest = _matching_f_element(F, t[-1], sigma(t[-1]))
+    core = {t[:k]: rest for k in range(len(t))}
+    core[t] = sigma
+    defaults = {**core, t: Perm.identity(deg)}
+    branches = {
+        (t, c): _matching_f_element(F, c, sigma(c))
+        for c in sigma.moved_colors() or ()
+        if not t or c != t[-1]
+    }
     img = t
     for k in range(len(t), 0, -1):
-        img = _step(img, core[t[:k]], t[k - 1])
+        img = neighbor(img, core[t[:k]](t[k - 1]))
     g = TreeAut(img, core, branches, defaults, deg=deg).canonical()
 
     if g.is_identity():
@@ -176,10 +133,6 @@ def fixator_witness(F: PermGroup, Fp: PermGroup, h: HalfTree, sigma: Perm | None
     if not GroupClass.prescribed(F, Fp).contains(g):
         raise AssertionError("witness escapes the prescribed class")
     return g
-
-
-def _step(img, sigma, letter):
-    return neighbor(img, sigma(letter))
 
 
 def disjoint_support_pair(F: PermGroup, Fp: PermGroup, e: DirectedEdge) -> tuple[TreeAut, TreeAut]:
@@ -593,12 +546,35 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def verify_certificate(text: str) -> tuple[bool, str]:
-    """Re-run the pipeline from the embedded config and compare bit-for-bit."""
+    """Re-run the pipeline from the embedded config and compare bit-for-bit;
+    on a mismatch, name the first JSON key path where the two differ."""
     cert = parse_certificate(text)
     rebuilt = build_certificate(cert.config)
     if serialize_certificate(rebuilt) == text:
         return True, "certificate re-verified bit-identically"
-    return False, "re-run disagrees with the stored certificate"
+    path = _first_difference(cert.to_dict(), rebuilt.to_dict())
+    where = "in formatting only" if path is None else "at " + ".".join(map(str, path))
+    return False, f"re-run disagrees with the stored certificate {where}"
+
+
+def _first_difference(a, b, path=()):
+    """The key path, in serialized order, of the first place where two JSON
+    values differ (list positions are indices), or None if they are equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            if k not in a or k not in b:
+                return path + (k,)
+            found = _first_difference(a[k], b[k], path + (k,))
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = _first_difference(x, y, path + (i,))
+            if found is not None:
+                return found
+        return None if len(a) == len(b) else path + (min(len(a), len(b)),)
+    return None if type(a) is type(b) and a == b else path
 
 
 def certificate_witnesses(cert: Certificate) -> tuple[TreeAut, TreeAut]:

@@ -69,11 +69,6 @@ def classify_isometry(g: TreeAut):
     raise AssertionError("midpoint descent failed to converge")
 
 
-def translation_length(g: TreeAut) -> int:
-    cls = classify_isometry(g)
-    return cls.length if isinstance(cls, Hyperbolic) else 0
-
-
 def _axis_ray_fn(element: TreeAut, start: Vertex):
     """Ray prefixes of the end that the forward orbit of `start` converges to.
 
@@ -119,7 +114,12 @@ def fixes_half_tree_pointwise(g: TreeAut, h: HalfTree) -> bool:
     Decided from finitely many checks on the canonical form: core vertices
     inside the half-tree must be fixed, and each branch meeting it must carry
     the identity constant with a fixed root (a branch that contains the whole
-    half-tree instead needs the half-tree's root fixed).
+    half-tree instead needs the half-tree's root fixed).  Explicit branch
+    rules are checked one by one.  A default rule covers cofinitely many
+    branches: when those meet the half-tree it must be the identity at a
+    fixed vertex whose permutation moves finitely many colors, and the
+    colors it moves, or that lead toward the half-tree, are checked one by
+    one.
     """
     gc = g.canonical()
     for u in gc.core:
@@ -144,31 +144,18 @@ def fixes_half_tree_pointwise(g: TreeAut, h: HalfTree) -> bool:
             return f.is_identity() and gc.evaluate(hh) == hh
         return f.is_identity() and gc.evaluate(n) == n
 
-    if gc.deg is not None:
-        return all(
-            branch_ok(u, c, gc.branches[(u, c)])
-            for u in gc.core
-            for c in gc.frontier_colors(u)
-        )
-
-    # integer colors: finitely many special colors, then the generic default
-    for u in gc.core:
-        sigma = gc.core[u]
-        moved = sigma.moved_colors()
-        candidates = {c for (w, c) in gc.branches if w == u}
-        if moved is not None:
-            candidates |= moved
+    if not all(branch_ok(u, c, f) for (u, c), f in gc.branches.items()):
+        return False
+    for u, f in gc.defaults.items():
+        moved = gc.core[u].moved_colors()
+        generic_meets = is_prefix(hh, u) if cyl else not is_prefix(t, u)
+        if generic_meets and (not f.is_identity() or gc.evaluate(u) != u or moved is None):
+            return False
+        candidates = set(moved or ())
         if cyl and len(hh) > len(u) and is_prefix(u, hh):
             candidates.add(hh[len(u)])
         if not cyl and len(t) > len(u) and is_prefix(u, t):
             candidates.add(t[len(u)])
-        generic_meets = is_prefix(hh, u) if cyl else not is_prefix(t, u)
-        if generic_meets:
-            # cofinitely many branches sit inside the half-tree
-            if not gc.defaults[u].is_identity() or gc.evaluate(u) != u:
-                return False
-            if moved is None:
-                return False  # cofinitely many branch roots move
         for c in sorted(candidates):
             if gc.is_frontier_color(u, c) and not branch_ok(u, c, gc.frontier_rule(u, c)):
                 return False
@@ -265,6 +252,23 @@ def _maps_complement_into(t: TreeAut, h_from: HalfTree, h_to: HalfTree) -> bool:
     return half_tree_subset(_image_half_tree(t, h_from.opposite()), h_to)
 
 
+def radius_tuples(reach: int, n: int = 4):
+    """All n-tuples over 1..reach, generated lazily in increasing order of
+    (sum, tuple): the smallest configurations of radii come first."""
+
+    def with_sum(s: int, k: int):
+        if k == 1:
+            if 1 <= s <= reach:
+                yield (s,)
+            return
+        for r in range(max(1, s - (k - 1) * reach), min(reach, s - k + 1) + 1):
+            for rest in with_sum(s - r, k - 1):
+                yield (r,) + rest
+
+    for s in range(n, n * reach + 1):
+        yield from with_sum(s, n)
+
+
 def ping_pong_certificate(g1: TreeAut, g2: TreeAut, power: int):
     """Find four pairwise-disjoint half-trees around the two axes such that
     the given powers map the complement of each repelling half-tree into the
@@ -291,15 +295,7 @@ def ping_pong_certificate(g1: TreeAut, g2: TreeAut, power: int):
     def edge_at(ray: Vertex, r: int) -> HalfTree:
         return HalfTree(DirectedEdge(ray[: r - 1], ray[r - 1]))
 
-    candidates = sorted(
-        ((r1p, r1m, r2p, r2m)
-         for r1p in range(1, reach + 1)
-         for r1m in range(1, reach + 1)
-         for r2p in range(1, reach + 1)
-         for r2m in range(1, reach + 1)),
-        key=lambda rs: (sum(rs), rs),
-    )
-    for rs in candidates:
+    for rs in radius_tuples(reach):
         hs = tuple(edge_at(ray, r) for ray, r in zip(rays, rs))
         if any(
             not half_trees_disjoint(hs[i], hs[j])

@@ -382,14 +382,6 @@ class PiecewiseAut:
         return True
 
 
-def pw_validate(p: PiecewiseAut) -> tuple[bool, str]:
-    return p.validate()
-
-
-def pw_compose(p: PiecewiseAut, q: PiecewiseAut) -> PiecewiseAut:
-    return p.compose(q)
-
-
 def pw_half_tree_fixator(tree, g, v, n1, n2) -> PiecewiseAut:
     """The piecewise element acting like g beyond the edge (v, n1), like its
     inverse beyond (v, n2), and trivially elsewhere.

@@ -12,15 +12,22 @@ branch.  Every witness element constructed here is of this shape and the
 family is closed under composition and inversion.  Composition obeys the
 cocycle rule sigma(g h, v) = sigma(g, h(v)) * sigma(h, v).
 
-For integer colors a core vertex has infinitely many branches, so each core
-vertex carries a default branch constant plus finitely many color-indexed
-exceptions.
+Finite and integer color sets share one view of the branch rules at a core
+vertex u: explicit rules for some frontier colors, plus an optional default
+rule for every frontier color not listed.  Over the integers u has infinitely
+many branches, so it always carries a default and lists only the exceptions
+to it.  A finite frontier is always listed in full: defaults given at a
+finite degree are expanded into explicit rules when the element is built, so
+a finite element stores no defaults and serializes without them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 
 from .perm_groups import Perm, PermGroup, perm_disagreement
 from .tree_core import (
@@ -34,6 +41,10 @@ from .tree_core import (
 )
 
 
+# the defaults of every finite element: its frontier is listed in full
+_NO_DEFAULTS = MappingProxyType({})
+
+
 class PortraitError(ValueError):
     """The data does not describe a valid branch-constant automorphism."""
 
@@ -43,16 +54,17 @@ class TreeAut:
 
     base      -- image of the base vertex.
     core      -- prefix-closed finite map vertex -> local permutation.
-    branches  -- explicit branch constants keyed by frontier edge (vertex,
-                 color).  For a finite color set these cover the whole
-                 frontier; for integer colors they are the exceptions to the
-                 per-vertex defaults.
-    defaults  -- default branch constant per core vertex (integer colors
-                 only; None for finite degree).
+    branches  -- explicit branch rules keyed by frontier edge (vertex, color).
+    defaults  -- per core vertex, the rule of every frontier color that
+                 `branches` leaves out; explicit rules equal to it are
+                 dropped.  Integer colors need one at every core vertex.  At
+                 a finite degree they are expanded into explicit rules on
+                 construction, so a finite element keeps this map empty.
     deg       -- finite degree, or None for integer colors.
 
-    Instances are immutable.  Equality and hashing go through the canonical
-    (minimal-core) form.
+    `frontier_rule(u, c)` reads the branch rules at u the same way on both
+    color sets.  Instances are immutable.  Equality and hashing go through
+    the canonical (minimal-core) form.
     """
 
     __slots__ = ("deg", "base", "core", "branches", "defaults", "_canon")
@@ -62,16 +74,16 @@ class TreeAut:
         self.base = check_vertex(base)
         self.core = {check_vertex(v): p for v, p in core.items()}
         self.branches = {(check_vertex(u), int(c)): f for (u, c), f in (branches or {}).items()}
-        if deg is None:
-            self.defaults = {check_vertex(v): p for v, p in (defaults or {}).items()}
-            # exceptions equal to the default are redundant
+        self.defaults = {check_vertex(v): p for v, p in (defaults or {}).items()}
+        if deg is not None:
+            for u, f in self.defaults.items():
+                for c in self.frontier_colors(u):
+                    self.branches.setdefault((u, c), f)
+            self.defaults = _NO_DEFAULTS
+        elif self.defaults:
             self.branches = {
                 (u, c): f for (u, c), f in self.branches.items() if f != self.defaults.get(u, f)
             }
-        else:
-            if defaults:
-                raise PortraitError("defaults are only for integer colors")
-            self.defaults = None
         self._canon = None
         if _validate:
             self._validate()
@@ -79,25 +91,16 @@ class TreeAut:
     # -- structure helpers ---------------------------------------------------
 
     def _core_edge_colors(self, u: Vertex) -> set[int]:
-        cols = {c for c in self._child_colors(u)}
+        cols = {w[-1] for w in self.core if w and w[:-1] == u}
         if u:
             cols.add(u[-1])
         return cols
-
-    def _child_colors(self, u: Vertex) -> list[int]:
-        if self.deg is not None:
-            return [c for c in range(self.deg) if (not u or c != u[-1]) and u + (c,) in self.core]
-        return sorted(c for (v, c) in ((w[:-1], w[-1]) for w in self.core if w) if v == u)
 
     def frontier_colors(self, u: Vertex) -> list[int]:
         """Frontier colors at a core vertex (finite degree only)."""
         if self.deg is None:
             raise PortraitError("frontier is infinite over integer colors")
-        return [
-            c
-            for c in range(self.deg)
-            if (not u or c != u[-1]) and u + (c,) not in self.core
-        ]
+        return [c for c in range(self.deg) if self.is_frontier_color(u, c)]
 
     def is_frontier_color(self, u: Vertex, c: int) -> bool:
         return (not u or c != u[-1]) and u + (c,) not in self.core
@@ -105,9 +108,8 @@ class TreeAut:
     def frontier_rule(self, u: Vertex, c: int) -> Perm:
         if not self.is_frontier_color(u, c):
             raise PortraitError(f"({u}, {c}) is not a frontier edge")
-        if self.deg is not None:
-            return self.branches[(u, c)]
-        return self.branches.get((u, c), self.defaults[u])
+        f = self.branches.get((u, c))
+        return self.defaults[u] if f is None else f
 
     def _validate(self):
         if self.deg is not None and self.deg < 3:
@@ -117,39 +119,38 @@ class TreeAut:
         for v in self.core:
             if v and v[:-1] not in self.core:
                 raise PortraitError(f"core is not connected at {v!r}")
-        vals = list(self.core.values()) + list(self.branches.values())
-        if self.deg is None:
-            vals += list(self.defaults.values())
-        for p in vals:
+        for p in chain(self.core.values(), self.branches.values(), self.defaults.values()):
             if p.degree != self.deg:
                 raise PortraitError(f"permutation domain {p!r} does not match degree {self.deg}")
         # adjacent core vertices agree on the joining edge color
         for v, p in self.core.items():
             if v and self.core[v[:-1]](v[-1]) != p(v[-1]):
                 raise PortraitError(f"edge compatibility fails at core edge into {v!r}")
-        # branch constants agree with the core on the frontier edge color
+        # branch rules agree with the core on the frontier edge color
         for (u, c), f in self.branches.items():
             if u not in self.core or not self.is_frontier_color(u, c):
                 raise PortraitError(f"branch rule at non-frontier edge ({u!r}, {c})")
             if f(c) != self.core[u](c):
                 raise PortraitError(f"edge compatibility fails at frontier ({u!r}, {c})")
-        if self.deg is not None:
-            for u in self.core:
+        for u in self.core:
+            if self.deg is not None:
                 missing = [c for c in self.frontier_colors(u) if (u, c) not in self.branches]
                 if missing:
                     raise PortraitError(f"frontier edges without rules at {u!r}: {missing}")
-        else:
-            for u, sigma in self.core.items():
-                if u not in self.defaults:
-                    raise PortraitError(f"core vertex {u!r} lacks a default branch constant")
-                bad = perm_disagreement(self.defaults[u], sigma)
-                if bad is None:
-                    raise PortraitError(f"default at {u!r} disagrees with the core cofinitely")
-                covered = self._core_edge_colors(u) | {c for (w, c) in self.branches if w == u}
-                if not bad <= covered:
-                    raise PortraitError(
-                        f"default at {u!r} breaks compatibility at colors {sorted(bad - covered)}"
-                    )
+            elif u not in self.defaults:
+                raise PortraitError(f"core vertex {u!r} lacks a default branch constant")
+        # a default agrees with the core at all but the listed colors
+        for u, f in self.defaults.items():
+            if u not in self.core:
+                raise PortraitError(f"default at non-core vertex {u!r}")
+            bad = perm_disagreement(f, self.core[u])
+            if bad is None:
+                raise PortraitError(f"default at {u!r} disagrees with the core cofinitely")
+            covered = self._core_edge_colors(u) | {c for (w, c) in self.branches if w == u}
+            if not bad <= covered:
+                raise PortraitError(
+                    f"default at {u!r} breaks compatibility at colors {sorted(bad - covered)}"
+                )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -205,11 +206,7 @@ class TreeAut:
     def from_constant(f: Perm, base=V0) -> "TreeAut":
         """The automorphism with constant portrait f sending the base vertex
         to `base`; constant portraits always satisfy edge compatibility."""
-        base = check_vertex(base)
-        if f.degree is None:
-            return TreeAut(base, {V0: f}, {}, {V0: f}, deg=None)
-        d = f.degree
-        return TreeAut(base, {V0: f}, {(V0, c): f for c in range(d)}, deg=d)
+        return TreeAut(base, {V0: f}, defaults={V0: f}, deg=f.degree)
 
     @staticmethod
     def identity(deg: int | None) -> "TreeAut":
@@ -224,69 +221,52 @@ class TreeAut:
         if target == set(self.core):
             return self
         core = {v: (self.core[v] if v in self.core else self.local_action(v)) for v in target}
-        if self.deg is not None:
-            branches = {}
-            for u in target:
-                for c in range(self.deg):
-                    if (not u or c != u[-1]) and u + (c,) not in target:
-                        branches[(u, c)] = self.local_action(u + (c,))
-            return TreeAut(self.base, core, branches, deg=self.deg)
-        defaults = {}
-        branches = {}
-        for u in target:
-            if u in self.core:
-                defaults[u] = self.defaults[u]
-                for (w, c), f in self.branches.items():
-                    if w == u and u + (c,) not in target:
-                        branches[(u, c)] = f
-            else:
-                defaults[u] = self.local_action(u)
-        return TreeAut(self.base, core, branches, defaults, deg=None)
+        # a new core vertex keeps the constant of the branch it was in
+        defaults = {u: core[u] for u in target if u not in self.core}
+        defaults.update(self.defaults)
+        branches = {(u, c): f for (u, c), f in self.branches.items() if u + (c,) not in target}
+        return TreeAut(self.base, core, branches, defaults, deg=self.deg)
 
     def canonical(self) -> "TreeAut":
-        """The unique minimal-core form: core leaves whose whole branch data
-        equals their own permutation are absorbed into the parent branch.
-        Idempotent; structural equality of canonical forms is equality of
-        automorphisms."""
+        """The unique minimal-core form: core leaves whose branch rules all
+        equal their own permutation are absorbed into the parent branch.
+        One sweep from the longest vertices down suffices, since a parent
+        is visited after all its children.  Idempotent; structural equality
+        of canonical forms is equality of automorphisms."""
         if self._canon is not None:
             return self._canon
         core = dict(self.core)
-        branches = dict(self.branches)
-        defaults = dict(self.defaults) if self.deg is None else None
-        changed = True
-        while changed:
-            changed = False
-            for u in sorted(core, key=len, reverse=True):
-                if u == V0:
-                    continue
-                if any(u + (c,) in core for c in self._all_child_colors(core, u)):
-                    continue  # not a leaf
-                sigma = core[u]
-                if self.deg is not None:
-                    cols = [c for c in range(self.deg) if c != u[-1]]
-                    if any(branches[(u, c)] != sigma for c in cols):
-                        continue
-                    for c in cols:
-                        del branches[(u, c)]
-                else:
-                    if defaults[u] != sigma or any(w == u for (w, _) in branches):
-                        continue
-                    del defaults[u]
-                del core[u]
-                parent, c = u[:-1], u[-1]
-                if self.deg is not None:
-                    branches[(parent, c)] = sigma
-                elif sigma != defaults[parent]:
-                    branches[(parent, c)] = sigma
-                changed = True
+        defaults = dict(self.defaults)
+        rules: dict[Vertex, dict[int, Perm]] = {}
+        for (u, c), f in self.branches.items():
+            rules.setdefault(u, {})[c] = f
+        children = Counter(v[:-1] for v in core if v)
+        absorbed = False
+        for u in sorted(core, key=len, reverse=True):
+            sigma = core[u]
+            if (
+                not u
+                or children[u]
+                or defaults.get(u, sigma) != sigma
+                or any(f != sigma for f in rules.get(u, {}).values())
+            ):
+                continue
+            del core[u]
+            defaults.pop(u, None)
+            rules.pop(u, None)
+            parent = u[:-1]
+            children[parent] -= 1
+            if defaults.get(parent) != sigma:
+                rules.setdefault(parent, {})[u[-1]] = sigma
+            absorbed = True
+        if not absorbed:
+            self._canon = self
+            return self
+        branches = {(u, c): f for u, r in rules.items() for c, f in r.items()}
         out = TreeAut(self.base, core, branches, defaults, deg=self.deg)
         out._canon = out
         self._canon = out
         return out
-
-    @staticmethod
-    def _all_child_colors(core, u):
-        return {w[-1] for w in core if w and w[:-1] == u}
 
     # -- group operations -----------------------------------------------------
 
@@ -303,57 +283,40 @@ class TreeAut:
             return g.local_action(h.evaluate(n)) * h.local_action(n)
 
         core = {u: rule(u) for u in support}
-        if g.deg is not None:
-            branches = {}
-            for u in support:
-                for c in range(g.deg):
-                    if (not u or c != u[-1]) and u + (c,) not in support:
-                        branches[(u, c)] = rule(u + (c,))
-            return TreeAut(base, core, branches, deg=g.deg).canonical()
-
-        defaults = {}
         branches = {}
+        defaults = {}
         for u in support:
-            specials = {c for (w, c) in h.branches if w == u}
-            sigma_hu = h.local_action(u)
-            hu = h.evaluate(u)
-            if hu in g.core:
-                img_special = {c for (w, c) in g.branches if w == hu}
-                img_special |= g._core_edge_colors(hu)
+            if g.deg is None:
+                # the colors whose rule may differ from the generic one, and a
+                # fresh color standing in for all the others
+                hu = h.evaluate(u)
+                if hu in g.core:
+                    img_special = {c for (w, c) in g.branches if w == hu}
+                    img_special |= g._core_edge_colors(hu)
+                else:
+                    img_special = {hu[-1]} if hu else set()
+                inv = h.local_action(u).inv()
+                colors = {c for (w, c) in h.branches if w == u} | {inv(c) for c in img_special}
+                blocked = colors | {w[-1] for w in support if w and w[:-1] == u}
+                if u:
+                    blocked.add(u[-1])
+                defaults[u] = rule(u + (max(blocked, default=0) + 1,))
+                colors = sorted(colors)
             else:
-                img_special = {hu[-1]} if hu else set()
-            inv = sigma_hu.inv()
-            specials |= {inv(c) for c in img_special}
-            blocked = set(specials)
-            blocked |= {w[-1] for w in support if w and w[:-1] == u}
-            if u:
-                blocked.add(u[-1])
-            fresh = max(blocked, default=0) + 1
-            defaults[u] = rule(u + (fresh,))
-            for c in sorted(specials):
+                colors = range(g.deg)
+            for c in colors:
                 if (not u or c != u[-1]) and u + (c,) not in support:
-                    r = rule(u + (c,))
-                    if r != defaults[u]:
-                        branches[(u, c)] = r
-        return TreeAut(base, core, branches, defaults, deg=None).canonical()
+                    branches[(u, c)] = rule(u + (c,))
+        return TreeAut(base, core, branches, defaults, deg=g.deg).canonical()
 
     def inverse(self) -> "TreeAut":
         """The inverse automorphism: sigma(g^-1, g(v)) = sigma(g, v)^-1."""
         g = self.extended([self.preimage(V0)])
-        core = {}
         images = {u: g.evaluate(u) for u in g.core}
-        for u, sigma in g.core.items():
-            core[images[u]] = sigma.inv()
-        if g.deg is not None:
-            branches = {}
-            for (u, c), f in g.branches.items():
-                branches[(images[u], g.core[u](c))] = f.inv()
-            return TreeAut(g.preimage(V0), core, branches, deg=g.deg).canonical()
-        defaults = {images[u]: g.defaults[u].inv() for u in g.core}
-        branches = {}
-        for (u, c), f in g.branches.items():
-            branches[(images[u], g.core[u](c))] = f.inv()
-        return TreeAut(g.preimage(V0), core, branches, defaults, deg=None).canonical()
+        core = {images[u]: sigma.inv() for u, sigma in g.core.items()}
+        branches = {(images[u], g.core[u](c)): f.inv() for (u, c), f in g.branches.items()}
+        defaults = {images[u]: f.inv() for u, f in g.defaults.items()}
+        return TreeAut(g.preimage(V0), core, branches, defaults, deg=g.deg).canonical()
 
     def __pow__(self, n: int) -> "TreeAut":
         if n < 0:
@@ -365,13 +328,8 @@ class TreeAut:
 
     def is_identity(self) -> bool:
         c = self.canonical()
-        return (
-            c.base == V0
-            and len(c.core) == 1
-            and c.core[V0].is_identity()
-            and all(f.is_identity() for f in c.branches.values())
-            and (c.deg is not None or c.defaults[V0].is_identity())
-        )
+        rules = chain(c.core.values(), c.branches.values(), c.defaults.values())
+        return c.base == V0 and len(c.core) == 1 and all(p.is_identity() for p in rules)
 
     def key(self):
         c = self.canonical()
@@ -380,7 +338,7 @@ class TreeAut:
             c.base,
             tuple(sorted((v, p.key()) for v, p in c.core.items())),
             tuple(sorted(((u, col), f.key()) for (u, col), f in c.branches.items())),
-            tuple(sorted((v, p.key()) for v, p in c.defaults.items())) if c.deg is None else None,
+            tuple(sorted((v, p.key()) for v, p in c.defaults.items())),
         )
 
     def __eq__(self, other) -> bool:
@@ -438,9 +396,7 @@ class GroupClass:
         if self.kind == "any":
             return True
         c = g.canonical()
-        tails = list(c.branches.values())
-        if c.deg is None:
-            tails += list(c.defaults.values())
+        tails = list(c.branches.values()) + list(c.defaults.values())
         if self.kind == "U":
             return all(self.F.contains(p) for p in c.core.values()) and all(
                 self.F.contains(f) for f in tails
@@ -456,10 +412,6 @@ class GroupClass:
     def label(self) -> str:
         names = {"U": "U(F)", "G": "G(F,F')", "G*": "G(F,F')*", "any": "Aut(T)"}
         return names[self.kind]
-
-
-def membership(g: TreeAut, cls: GroupClass) -> bool:
-    return cls.contains(g)
 
 
 # -- random and exhaustive element generation --------------------------------
@@ -639,7 +591,5 @@ def aut_from_data(data) -> TreeAut:
     deg = data["degree"]
     core = {tuple(v): perm_from_data(p) for v, p in data["core"]}
     branches = {(tuple(u), c): perm_from_data(f) for u, c, f in data["branches"]}
-    defaults = None
-    if deg is None:
-        defaults = {tuple(v): perm_from_data(p) for v, p in data["defaults"]}
+    defaults = {tuple(v): perm_from_data(p) for v, p in data.get("defaults", [])}
     return TreeAut(tuple(data["base"]), core, branches, defaults, deg=deg)

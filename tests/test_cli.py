@@ -71,6 +71,19 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "bit-identically" in stdout
 
 
+def test_verify_names_the_first_tampered_key_path(tmp_path, capsys):
+    out = tmp_path / "cert.txt"
+    run_cli(["certify", "--preset", "g-alt3-sym3", "--word-length", "2", "--out", str(out)], capsys)
+    text = out.read_text()
+    tampered = text.replace('"total": ', '"total": 1', 1)
+    assert tampered != text
+    out.write_text(tampered)
+    code, stdout, _ = run_cli(["verify", str(out)], capsys)
+    assert code == 1
+    assert "disagrees" in stdout
+    assert stdout.strip().endswith("at checks.annihilation.total")
+
+
 def test_classify_identity(capsys):
     code, stdout, _ = run_cli(
         ["classify", "--preset", "g-alt3-sym3", "--element", "identity"], capsys

@@ -15,7 +15,6 @@ from arboreal.piecewise import (
     piecewise_decomposition,
     psl2z_tree,
     pw_half_tree_fixator,
-    pw_validate,
 )
 from arboreal.portraits import GroupClass, TreeAut, random_element
 from arboreal.tree_core import V0
@@ -89,10 +88,10 @@ def test_b_generator_fixes_its_vertex_and_rotates_edges():
 def test_identity_and_global_elements_validate():
     t = psl2z_tree()
     e = PiecewiseAut.identity(t)
-    assert pw_validate(e)[0]
+    assert e.validate()[0]
     assert e.is_identity()
     g = PiecewiseAut.global_element(t, t.letter(1, 1))
-    assert pw_validate(g)[0]
+    assert g.validate()[0]
     assert not g.is_identity()
 
 
@@ -183,7 +182,7 @@ def test_pw_compose_identity_and_inverse():
     assert e * gamma == gamma
     assert (gamma * gamma.inverse()).is_identity()
     inv = gamma.inverse()
-    assert pw_validate(inv)[0]
+    assert inv.validate()[0]
 
 
 def _random_pw(tree, rng, catalog):

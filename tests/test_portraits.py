@@ -15,7 +15,6 @@ from arboreal.portraits import (
     aut_to_data,
     end_image_prefix,
     enumerate_branch_constant,
-    membership,
     random_element,
 )
 from arboreal.tree_core import V0, PeriodicEnd, enumerate_ball
@@ -149,34 +148,34 @@ def test_preimage_inverts_evaluate():
 
 
 def test_membership_of_identity_and_constants():
-    assert membership(TreeAut.identity(3), U_ALT3)
-    assert membership(TreeAut.identity(3), G_CLASS)
+    assert U_ALT3.contains(TreeAut.identity(3))
+    assert G_CLASS.contains(TreeAut.identity(3))
     rot = TreeAut.from_constant(Perm.from_cycles(3, (1, 2)), V0)
-    assert not membership(rot, U_ALT3)
-    assert not membership(rot, G_CLASS)  # odd constant everywhere is not almost-in-F
+    assert not U_ALT3.contains(rot)
+    assert not G_CLASS.contains(rot)  # odd constant everywhere is not almost-in-F
 
 
 def test_membership_star_uses_base_parity():
     star = GroupClass.prescribed_star(ALT3, SYM3)
     glide = TreeAut.from_constant(Perm.identity(3), (0, 1))
-    assert membership(glide, star)
+    assert star.contains(glide)
     inv = TreeAut.from_constant(Perm.identity(3), (0,))
-    assert not membership(inv, star)
+    assert not star.contains(inv)
 
 
 def test_membership_rejects_domain_mismatch():
     g4 = TreeAut.identity(4)
     with pytest.raises(ValueError):
-        membership(g4, U_ALT3)
+        U_ALT3.contains(g4)
 
 
 def test_random_element_is_deterministic_and_in_class():
     a = random_element(G_CLASS, 2, seed=7)
     b = random_element(G_CLASS, 2, seed=7)
     assert a == b
-    assert membership(a, G_CLASS)
+    assert G_CLASS.contains(a)
     c = random_element(U_ALT3, 2, seed=3)
-    assert membership(c, U_ALT3)
+    assert U_ALT3.contains(c)
 
 
 def test_random_element_trivial_group_gives_rigid_motions():
@@ -193,7 +192,7 @@ def test_enumeration_of_universal_elements_radius_2():
     # 10 base images, and a free transitive action leaves 3 compatible portraits each
     assert len(els) == 30
     for g in els:
-        assert membership(g, U_ALT3)
+        assert U_ALT3.contains(g)
 
 
 def test_edge_fixators_trivial_for_free_local_group():
@@ -271,6 +270,14 @@ def test_equality_matches_ball_evaluation_oracle():
 def test_unrestricted_class_accepts_everything_with_matching_degree():
     cls = GroupClass.unrestricted(3)
     rot = TreeAut.from_constant(Perm.from_cycles(3, (1, 2)), V0)
-    assert membership(rot, cls)
+    assert cls.contains(rot)
     g = random_element(cls, 2, seed=1)
-    assert membership(g, cls)
+    assert cls.contains(g)
+
+
+def test_constructor_rejects_defaults_off_the_core():
+    z_id, f_id = Perm.identity(None), Perm.identity(3)
+    with pytest.raises(PortraitError):
+        TreeAut(V0, {V0: z_id}, defaults={V0: z_id, (3,): z_id}, deg=None)
+    with pytest.raises(PortraitError):
+        TreeAut(V0, {V0: f_id}, defaults={V0: f_id, (1,): f_id}, deg=3)

@@ -1,0 +1,122 @@
+"""Property tests of the branch-rule view shared by finite and integer
+colors: canonical forms, the defaults expansion at a finite degree,
+serialization, and the group laws.
+
+Finite elements are random members of G(Alt(3), Sym(3)) and U(Sym(3));
+integer elements are short products of half-tree fixator witnesses and
+translation constants, whose portraits carry defaults and exceptions.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arboreal.cstar_obstruction import fixator_witness
+from arboreal.perm_groups import Perm, PermGroup
+from arboreal.portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, random_element
+from arboreal.tree_core import V0, enumerate_ball, half_tree
+
+ALT3 = PermGroup.alternating(3)
+SYM3 = PermGroup.symmetric(3)
+Z_F, Z_FP = PermGroup.z_translations(), PermGroup.z_finitary_affine()
+WINDOW = range(-2, 3)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+finite_elements = st.builds(
+    random_element,
+    st.sampled_from([GroupClass.prescribed(ALT3, SYM3), GroupClass.universal(SYM3)]),
+    st.integers(0, 2),
+    st.integers(0, 10**6),
+)
+
+
+def _reduced_words(max_len: int):
+    return st.lists(st.sampled_from(list(WINDOW)), max_size=max_len).filter(
+        lambda w: all(a != b for a, b in zip(w, w[1:]))
+    ).map(tuple)
+
+
+integer_factors = st.one_of(
+    st.builds(
+        lambda tail, color: fixator_witness(Z_F, Z_FP, half_tree(tail, color)),
+        _reduced_words(2),
+        st.sampled_from(list(WINDOW)),
+    ),
+    st.builds(
+        lambda shift, base: TreeAut.from_constant(Perm.z_translation(shift), base),
+        st.integers(-2, 2),
+        _reduced_words(2),
+    ),
+)
+
+
+def _product(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+integer_elements = st.lists(integer_factors, min_size=1, max_size=2).map(_product)
+elements = st.one_of(finite_elements, integer_elements)
+
+
+def _ball(g, radius=2):
+    return enumerate_ball(V0, radius, range(g.deg) if g.deg is not None else WINDOW)
+
+
+@PROPERTY
+@given(elements)
+def test_canonical_is_idempotent(g):
+    c = g.canonical()
+    assert c.canonical() is c
+    rebuilt = TreeAut(c.base, c.core, c.branches, c.defaults, deg=c.deg)
+    assert rebuilt.canonical() is rebuilt
+    assert rebuilt.key() == c.key()
+
+
+@PROPERTY
+@given(elements)
+def test_extended_then_canonical_returns_the_key(g):
+    padded = g.extended(_ball(g))
+    assert padded.canonical().key() == g.key()
+    assert all(padded.evaluate(v) == g.evaluate(v) for v in _ball(g, 3))
+
+
+@PROPERTY
+@given(finite_elements, st.integers(0, 2))
+def test_finite_defaults_expand_to_the_explicit_frontier(g, radius):
+    g = g.extended(_ball(g, radius))
+    defaults = {}
+    for u in g.core:
+        cols = g.frontier_colors(u)
+        if cols:
+            defaults[u] = g.frontier_rule(u, cols[-1])
+    sparse = {(u, c): f for (u, c), f in g.branches.items() if f != defaults[u]}
+    h = TreeAut(g.base, g.core, sparse, defaults, deg=g.deg)
+    assert h.branches == g.branches
+    assert h.defaults == {}
+    assert h == g
+    assert aut_to_data(h) == aut_to_data(g)
+
+
+@PROPERTY
+@given(elements)
+def test_serialization_round_trip(g):
+    back = aut_from_data(aut_to_data(g))
+    assert back == g
+    assert aut_to_data(back) == aut_to_data(g)
+
+
+@PROPERTY
+@given(st.data())
+def test_group_laws(data):
+    kind = data.draw(st.sampled_from([finite_elements, integer_elements]))
+    g, h, k = data.draw(kind), data.draw(kind), data.draw(kind)
+    assert (g * h) * k == g * (h * k)
+    assert (g * g.inverse()).is_identity()
+    assert (g.inverse() * g).is_identity()
+    gh = g * h
+    for v in _ball(g):
+        assert gh.evaluate(v) == g.evaluate(h.evaluate(v))
+        assert gh.local_action(v) == g.local_action(h.evaluate(v)) * h.local_action(v)
