@@ -10,6 +10,7 @@ point w and translation length L.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .portraits import TreeAut
@@ -252,23 +253,6 @@ def _maps_complement_into(t: TreeAut, h_from: HalfTree, h_to: HalfTree) -> bool:
     return half_tree_subset(_image_half_tree(t, h_from.opposite()), h_to)
 
 
-def radius_tuples(reach: int, n: int = 4):
-    """All n-tuples over 1..reach, generated lazily in increasing order of
-    (sum, tuple): the smallest configurations of radii come first."""
-
-    def with_sum(s: int, k: int):
-        if k == 1:
-            if 1 <= s <= reach:
-                yield (s,)
-            return
-        for r in range(max(1, s - (k - 1) * reach), min(reach, s - k + 1) + 1):
-            for rest in with_sum(s - r, k - 1):
-                yield (r,) + rest
-
-    for s in range(n, n * reach + 1):
-        yield from with_sum(s, n)
-
-
 def ping_pong_certificate(g1: TreeAut, g2: TreeAut, power: int):
     """Find four pairwise-disjoint half-trees around the two axes such that
     the given powers map the complement of each repelling half-tree into the
@@ -295,7 +279,8 @@ def ping_pong_certificate(g1: TreeAut, g2: TreeAut, power: int):
     def edge_at(ray: Vertex, r: int) -> HalfTree:
         return HalfTree(DirectedEdge(ray[: r - 1], ray[r - 1]))
 
-    for rs in radius_tuples(reach):
+    radii = itertools.product(range(1, reach + 1), repeat=4)
+    for rs in sorted(radii, key=lambda rs: (sum(rs), rs)):
         hs = tuple(edge_at(ray, r) for ray, r in zip(rays, rs))
         if any(
             not half_trees_disjoint(hs[i], hs[j])

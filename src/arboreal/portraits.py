@@ -77,6 +77,11 @@ class TreeAut:
         self.defaults = {check_vertex(v): p for v, p in (defaults or {}).items()}
         if deg is not None:
             for u, f in self.defaults.items():
+                # checked here, since a default is dropped after expansion
+                if _validate and u not in self.core:
+                    raise PortraitError(f"default at non-core vertex {u!r}")
+                if _validate and f.degree != deg:
+                    raise PortraitError(f"permutation domain {f!r} does not match degree {deg}")
                 for c in self.frontier_colors(u):
                     self.branches.setdefault((u, c), f)
             self.defaults = _NO_DEFAULTS

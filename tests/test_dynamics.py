@@ -1,8 +1,6 @@
 """Isometry classification, axis ends, half-tree fixation, and the witnesses
 for independent hyperbolic elements and free subgroups."""
 
-import itertools
-
 import pytest
 
 from arboreal.dynamics import (
@@ -14,7 +12,6 @@ from arboreal.dynamics import (
     fixes_half_tree_pointwise,
     general_type_witness,
     ping_pong_certificate,
-    radius_tuples,
 )
 from arboreal.perm_groups import Perm, PermGroup
 from arboreal.portraits import GroupClass, TreeAut, end_image_prefix, random_element
@@ -194,14 +191,6 @@ def test_ping_pong_certificate_for_glide_and_conjugate():
         for j in range(i + 1, 4):
             assert half_trees_disjoint(hs[i], hs[j])
     assert len(cert.inclusions) == 4
-
-
-def test_radius_tuples_follow_the_sum_then_lexicographic_order():
-    for reach in (1, 2, 5):
-        expected = sorted(
-            itertools.product(range(1, reach + 1), repeat=4), key=lambda rs: (sum(rs), rs)
-        )
-        assert list(radius_tuples(reach)) == expected
 
 
 def test_ping_pong_rejects_shared_ends():

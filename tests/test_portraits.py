@@ -277,7 +277,13 @@ def test_unrestricted_class_accepts_everything_with_matching_degree():
 
 def test_constructor_rejects_defaults_off_the_core():
     z_id, f_id = Perm.identity(None), Perm.identity(3)
-    with pytest.raises(PortraitError):
+    full = {(V0, c): f_id for c in range(3)}
+    with pytest.raises(PortraitError, match="default at non-core vertex"):
         TreeAut(V0, {V0: z_id}, defaults={V0: z_id, (3,): z_id}, deg=None)
-    with pytest.raises(PortraitError):
+    with pytest.raises(PortraitError, match="default at non-core vertex"):
         TreeAut(V0, {V0: f_id}, defaults={V0: f_id, (1,): f_id}, deg=3)
+    # a fully listed frontier still has its default checked
+    with pytest.raises(PortraitError, match="default at non-core vertex"):
+        TreeAut(V0, {V0: f_id}, full, defaults={(1,): f_id}, deg=3)
+    with pytest.raises(PortraitError, match="does not match degree"):
+        TreeAut(V0, {V0: f_id}, full, defaults={V0: z_id}, deg=3)
