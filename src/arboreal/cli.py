@@ -6,7 +6,9 @@ type and class membership of one element), orbit (truncated boundary orbit),
 witness (half-tree fixator witnesses, or the branch-swap element over the
 free-product preset "pslz").  Configs are JSON files; the same data can be
 given by flags.  Exit status: 0 success/VALID, 1 pipeline INVALID, 2 parse or
-configuration errors.
+configuration errors, 3 internal error (a failed internal consistency check,
+such as an end image coming out too short or an axis ray that does not
+stabilize; it points at a bug, not at the input).
 """
 
 from __future__ import annotations
@@ -163,9 +165,9 @@ def cmd_orbit(args) -> int:
         print(f"warning: depth below heuristic bound {orbit.heuristic_bound}")
     print(f"points: {len(orbit.points)}")
     lines = []
-    for word, _, pref in orbit.points:
+    for word, ray in orbit.points:
         wname = ".".join(map(str, word)) or "e"
-        lines.append(f"  {wname}: {''.join(map(str, pref))}")
+        lines.append(f"  {wname}: {''.join(map(str, ray[: orbit.depth]))}")
     output = "\n".join(lines) + "\n"
     _write_or_print(output, args.out)
     return 0
@@ -229,6 +231,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .dynamics import enumerate_products, fixes_half_tree_pointwise, general_type_witness
+from .dynamics import fixes_half_tree_pointwise, general_type_witness
 from .perm_groups import (
     Perm,
     PermGroup,
@@ -35,8 +35,8 @@ from .portraits import (
     TreeAut,
     aut_from_data,
     aut_to_data,
-    end_image_prefix,
     enumerate_branch_constant,
+    image_prefix,
 )
 from .tree_core import (
     V0,
@@ -150,13 +150,18 @@ def disjoint_support_pair(F: PermGroup, Fp: PermGroup, e: DirectedEdge) -> tuple
 @dataclass
 class OrbitTruncation:
     """Products of the generators up to the word length, applied to the base
-    end, with image rays truncated and deduplicated at the stated depth."""
+    end, with image rays deduplicated at the stated depth.
 
-    base_end: PeriodicEnd
-    generators: list[TreeAut]
+    Each point is (word, ray): the minimal word, in (length, lex) order, that
+    maps the end to the point, and a ray prefix of its image with at least
+    depth + 2 * margin exact letters, where margin bounds the displacement
+    of every generator.  The point itself is ray[:depth].
+    """
+
     word_length: int
     depth: int
-    points: list[tuple[tuple[int, ...], TreeAut, tuple[int, ...]]]
+    margin: int
+    points: list[tuple[tuple[int, ...], tuple[int, ...]]]
     heuristic_bound: int
     depth_warning: bool
 
@@ -166,42 +171,70 @@ def orbit_truncate(
 ) -> OrbitTruncation:
     """Enumerate the orbit of the end under short products of the generators.
 
-    Deduplication is ray-prefix equality at the stated depth, so the point
-    count is a lower bound for the true orbit; a depth below the recorded
-    heuristic bound only raises a warning flag.
+    Breadth-first over ray prefixes, never over group elements: the word
+    (i,) + w maps the end to a_i(w(xi)), so layer k applies each letter of
+    the alphabet (gens[j] at 2j, its inverse at 2j+1) to the rays of layer
+    k-1, and each letter costs at most `margin` exact letters.  Two words of
+    length <= k whose rays agree on depth + (L-k) * margin letters reach the
+    same depth prefix under every extension to length L, so only the first
+    of them is kept.  Deduplication is ray-prefix equality at the stated
+    depth, so the point count is a lower bound for the true orbit; a depth
+    below the recorded heuristic bound only raises a warning flag.
     """
     if not gens:
         raise ValueError("need at least one generator")
-    deg = gens[0].deg
-    max_disp = max(len(g.base) for g in gens)
-    bound = 2 * word_length * max_disp + len(xi.prefix) + len(xi.period)
-    items = [((), TreeAut.identity(deg))]
-    items += list(enumerate_products(gens, word_length))
-    seen: set = set()
+    alphabet: list[TreeAut] = []
+    for g in gens:
+        alphabet += [g, g.inverse()]
+    margin = max(len(g.base) for g in gens)
+    bound = 2 * word_length * margin + len(xi.prefix) + len(xi.period)
+    layer = [((), xi.ray_prefix(depth + (word_length + 2) * margin))]
+    kept = list(layer)
+    for k in range(1, word_length + 1):
+        carried = depth + (word_length + 2 - k) * margin
+        dedup = depth + (word_length - k) * margin
+        seen = {ray[:dedup] for _, ray in kept}
+        nxt = []
+        for i, a in enumerate(alphabet):
+            for word, ray in layer:
+                img = image_prefix(a, ray, carried)
+                key = img[:dedup]
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(((i,) + word, img))
+        layer = nxt
+        kept += layer
+    seen = set()
     points = []
-    for word, el in items:
-        pref = end_image_prefix(el, xi, depth)
-        if pref not in seen:
-            seen.add(pref)
-            points.append((word, el, pref))
+    for word, ray in kept:
+        if ray[:depth] not in seen:
+            seen.add(ray[:depth])
+            points.append((word, ray))
     return OrbitTruncation(
-        base_end=xi,
-        generators=list(gens),
         word_length=word_length,
         depth=depth,
+        margin=margin,
         points=points,
         heuristic_bound=bound,
         depth_warning=depth < bound,
     )
 
 
+def _check_margin(orbit: OrbitTruncation, *witnesses: TreeAut) -> None:
+    for g in witnesses:
+        if len(g.base) > orbit.margin:
+            raise ValueError(
+                f"witness displacement {len(g.base)} exceeds the orbit's margin {orbit.margin}"
+            )
+
+
 def disjoint_support_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncation) -> bool:
     """True iff no truncated orbit point is moved by both a and b."""
-    xi, depth = orbit.base_end, orbit.depth
-    for _, el, pref in orbit.points:
-        a_moves = end_image_prefix(a * el, xi, depth) != pref
-        b_moves = end_image_prefix(b * el, xi, depth) != pref
-        if a_moves and b_moves:
+    _check_margin(orbit, a, b)
+    depth = orbit.depth
+    for _, ray in orbit.points:
+        eta = ray[:depth]
+        if image_prefix(a, ray, depth) != eta and image_prefix(b, ray, depth) != eta:
             return False
     return True
 
@@ -226,12 +259,15 @@ def convolution_annihilation_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncatio
     """Verify, at the truncation depth, that applying (1-a)(1-b) to each
     orbit point's basis vector gives zero: the multiset {eta, a b eta} must
     equal {a eta, b eta}."""
-    xi, depth = orbit.base_end, orbit.depth
+    _check_margin(orbit, a, b)
+    depth = orbit.depth
     failures = []
-    for word, el, eta in orbit.points:
-        a_eta = end_image_prefix(a * el, xi, depth)
-        b_eta = end_image_prefix(b * el, xi, depth)
-        ab_eta = end_image_prefix(a * (b * el), xi, depth)
+    for word, ray in orbit.points:
+        eta = ray[:depth]
+        a_eta = image_prefix(a, ray, depth)
+        b_ray = image_prefix(b, ray, len(ray) - len(b.base))
+        ab_eta = image_prefix(a, b_ray, depth)
+        b_eta = b_ray[:depth]
         if sorted([eta, ab_eta]) != sorted([a_eta, b_eta]):
             failures.append((word, f"{eta} -> {a_eta}, {b_eta}, {ab_eta}"))
     return AnnihilationReport(

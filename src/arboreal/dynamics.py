@@ -170,7 +170,12 @@ def enumerate_products(gens: list[TreeAut], max_len: int):
     """All nontrivial products of the generators and their inverses up to the
     given length, deduplicated in canonical form, in deterministic
     breadth-first word order.  Yields (word, element) with word a tuple of
-    alphabet indices (2i for gens[i], 2i+1 for its inverse)."""
+    alphabet indices (2i for gens[i], 2i+1 for its inverse), each word the
+    (length, lex)-first one for its element.
+
+    Only those first words are extended: the first word of an element has as
+    its prefix the first word of that prefix's element, so extending any
+    other word could never yield."""
     if not gens:
         raise ValueError("need at least one generator")
     deg = gens[0].deg
@@ -184,12 +189,11 @@ def enumerate_products(gens: list[TreeAut], max_len: int):
         for word, el in layer:
             for i, a in enumerate(alphabet):
                 el2 = el * a
-                nxt.append((word + (i,), el2))
+                if el2.key() not in seen:
+                    seen.add(el2.key())
+                    nxt.append((word + (i,), el2))
+                    yield word + (i,), el2
         layer = nxt
-        for word, el in layer:
-            if el.key() not in seen:
-                seen.add(el.key())
-                yield word, el
 
 
 def general_type_witness(gens: list[TreeAut], search_len: int):

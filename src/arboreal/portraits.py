@@ -551,17 +551,28 @@ def enumerate_branch_constant(F: PermGroup, core_radius: int, bases) -> list[Tre
 # -- end images ---------------------------------------------------------------
 
 
-def end_image_prefix(g: TreeAut, end, depth: int) -> Vertex:
-    """The first `depth` letters of the ray of g applied to the end.
+def image_prefix(g: TreeAut, ray: Vertex, depth: int) -> Vertex:
+    """The first `depth` letters of the ray of g applied to any end whose
+    ray starts with `ray`.
 
     Exact: the image of a deep enough ray vertex is a prefix of the image
-    ray, and evaluating at depth + displacement(g) guarantees enough letters.
+    ray, and a ray prefix of length depth + displacement(g) guarantees enough
+    letters; a shorter one is refused.
     """
-    k = depth + len(g.base)
-    img = g.evaluate(end.ray_prefix(k))
+    if len(ray) < depth + len(g.base):
+        raise ValueError(
+            f"ray prefix of length {len(ray)} is too short for {depth} exact letters "
+            f"under displacement {len(g.base)}"
+        )
+    img = g.evaluate(ray)
     if len(img) < depth:
         raise AssertionError("image ray shorter than requested depth")
     return img[:depth]
+
+
+def end_image_prefix(g: TreeAut, end, depth: int) -> Vertex:
+    """The first `depth` letters of the ray of g applied to the end."""
+    return image_prefix(g, end.ray_prefix(depth + len(g.base)), depth)
 
 
 # -- serialization -------------------------------------------------------------

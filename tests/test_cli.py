@@ -161,3 +161,15 @@ def test_witness_degree_two_free_product_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["witness", "--config", str(cfg)], capsys)
     assert code == 2
     assert "degree" in err
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise AssertionError("axis ray prefix failed to stabilize")
+
+    monkeypatch.setattr("arboreal.cli.build_certificate", broken)
+    code, _, err = run_cli(
+        ["certify", "--preset", "g-alt3-sym3", "--out", str(tmp_path / "c.txt")], capsys
+    )
+    assert code == 3
+    assert "internal error: axis ray prefix failed to stabilize" in err

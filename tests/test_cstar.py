@@ -85,20 +85,24 @@ def test_disjoint_support_pair_commutes_and_separates():
 
 
 def independent_orbit_enumeration(gens, xi, length, depth):
-    """Second enumerator, coded differently: fold generator sequences with
-    itertools.product instead of breadth-first closure."""
+    """Second enumerator, coded differently: every word up to the length in
+    (length, lex) order from itertools.product, its element folded from
+    TreeAut products, and the first word kept for each end image prefix."""
     deg = gens[0].deg
     alphabet = []
     for g in gens:
         alphabet += [g, g.inverse()]
-    prefixes = set()
+    elements = {(): TreeAut.identity(deg)}
+    points, seen = [], set()
     for n in range(length + 1):
-        for combo in itertools.product(alphabet, repeat=n):
-            el = TreeAut.identity(deg)
-            for factor in combo:
-                el = el * factor
-            prefixes.add(end_image_prefix(el, xi, depth))
-    return prefixes
+        for word in itertools.product(range(len(alphabet)), repeat=n):
+            if n:
+                elements[word] = elements[word[:-1]] * alphabet[word[-1]]
+            pref = end_image_prefix(elements[word], xi, depth)
+            if pref not in seen:
+                seen.add(pref)
+                points.append((word, pref))
+    return points
 
 
 def test_orbit_truncation_matches_independent_enumerator():
@@ -107,10 +111,26 @@ def test_orbit_truncation_matches_independent_enumerator():
         TreeAut.from_constant(Perm.identity(3), (0, 1)),
     ]
     xi = PeriodicEnd((), (0, 1))
-    orbit = orbit_truncate(gens, xi, 3, 16)
-    expected = independent_orbit_enumeration(gens, xi, 3, 16)
-    assert {p for _, _, p in orbit.points} == expected
-    assert not orbit.depth_warning
+    assert not orbit_truncate(gens, xi, 3, 16).depth_warning
+    cases = [gens]
+    for F, Fp in [(ALT3, SYM3), (PermGroup.z_translations(), PermGroup.z_finitary_affine())]:
+        a, b = disjoint_support_pair(F, Fp, DirectedEdge(V0, 0))
+        cases.append([a, b] + standard_generators(F, F.degree))
+    # a shallow depth makes many words collide, so the labels test the
+    # pruning lengths, not only the point set
+    for gens in cases:
+        for depth in (3, 16):
+            orbit = orbit_truncate(gens, xi, 3, depth)
+            expected = independent_orbit_enumeration(gens, xi, 3, depth)
+            assert [(w, ray[:depth]) for w, ray in orbit.points] == expected
+            # each label's product maps the end to its point, and the carried
+            # ray is exact to depth + 2 * margin letters at least
+            for word, ray in orbit.points:
+                el = TreeAut.identity(gens[0].deg)
+                for i in word:
+                    el = el * (gens[i // 2] if i % 2 == 0 else gens[i // 2].inverse())
+                assert len(ray) >= depth + 2 * orbit.margin
+                assert end_image_prefix(el, xi, len(ray)) == ray
 
 
 def test_orbit_truncation_trivial_cases():
@@ -149,6 +169,21 @@ def test_disjoint_support_check_detects_overlap():
     assert not disjoint_support_check(a, a, orbit)
     # an identity side is disjoint from anything
     assert disjoint_support_check(TreeAut.identity(3), a, orbit)
+
+
+def test_orbit_checks_refuse_witnesses_beyond_the_margin():
+    e = DirectedEdge(V0, 0)
+    a, b = disjoint_support_pair(ALT3, SYM3, e)
+    orbit = orbit_truncate([a, b] + standard_generators(ALT3, 3), PeriodicEnd((), (0, 1)), 2, 12)
+    assert orbit.margin == 2
+    # displacement 3 exceeds the margin the rays were carried for; the rays
+    # happen to be long enough here, and the checks refuse it all the same
+    far = TreeAut.from_constant(Perm.identity(3), (0, 1, 0))
+    for x, y in [(far, b), (a, far)]:
+        with pytest.raises(ValueError, match="margin"):
+            disjoint_support_check(x, y, orbit)
+        with pytest.raises(ValueError, match="margin"):
+            convolution_annihilation_check(x, y, orbit)
 
 
 def test_filtration_level_0_trivial_kernel():

@@ -3,12 +3,14 @@ for independent hyperbolic elements and free subgroups."""
 
 import pytest
 
+from arboreal.cstar_obstruction import standard_generators
 from arboreal.dynamics import (
     Elliptic,
     Hyperbolic,
     Inversion,
     axis_and_ends,
     classify_isometry,
+    enumerate_products,
     fixes_half_tree_pointwise,
     general_type_witness,
     ping_pong_certificate,
@@ -152,6 +154,29 @@ def test_half_tree_fixation_over_integer_colors():
     t = TreeAut.from_constant(Perm.z_translation(1), V0)
     assert not fixes_half_tree_pointwise(t, half_tree(V0, 0))
     assert fixes_half_tree_pointwise(TreeAut.identity(None), half_tree(V0, 5))
+
+
+def exhaustive_products(gens, max_len):
+    """Reference BFS: every word of each length, duplicates included, in lex
+    order; the first word of each new element is yielded."""
+    alphabet = []
+    for g in gens:
+        alphabet += [g, g.inverse()]
+    seen = {TreeAut.identity(gens[0].deg).key()}
+    layer = [((), TreeAut.identity(gens[0].deg))]
+    for _ in range(max_len):
+        layer = [(w + (i,), el * a) for w, el in layer for i, a in enumerate(alphabet)]
+        for w, el in layer:
+            if el.key() not in seen:
+                seen.add(el.key())
+                yield w, el
+
+
+@pytest.mark.parametrize("F", [ALT3, PermGroup.z_translations()], ids=["alt3", "z-translations"])
+def test_pruned_products_match_exhaustive_bfs(F):
+    gens = standard_generators(F, F.degree)
+    pruned = [(w, el.key()) for w, el in enumerate_products(gens, 3)]
+    assert pruned == [(w, el.key()) for w, el in exhaustive_products(gens, 3)]
 
 
 def test_general_type_witness_found_for_universal_generators():
