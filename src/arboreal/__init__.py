@@ -40,11 +40,9 @@ from .piecewise import (
 from .portraits import GroupClass, TreeAut, random_element
 from .tree_core import (
     V0,
-    AxisEnd,
     DirectedEdge,
     HalfTree,
     PeriodicEnd,
-    ends_equal,
     geodesic,
     half_tree,
     half_tree_contains,
@@ -83,11 +81,9 @@ __all__ = [
     "TreeAut",
     "random_element",
     "V0",
-    "AxisEnd",
     "DirectedEdge",
     "HalfTree",
     "PeriodicEnd",
-    "ends_equal",
     "geodesic",
     "half_tree",
     "half_tree_contains",

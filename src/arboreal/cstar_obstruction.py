@@ -18,7 +18,7 @@ groups.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .dynamics import fixes_half_tree_pointwise, general_type_witness
 from .perm_groups import (
@@ -64,20 +64,6 @@ def _require_admissible_pair(F: PermGroup, Fp: PermGroup):
         raise ValueError("F must be a proper subgroup of F'")
 
 
-def _stabilizer_element(F: PermGroup, Fp: PermGroup, a: int) -> Perm:
-    """A nontrivial element of F' fixing the color a.
-
-    Exists whenever F < F' preserves F-orbits; failure here signals a broken
-    precondition, not a legitimate outcome.
-    """
-    if Fp.kind == "finite":
-        for p in Fp.elements:
-            if not p.is_identity() and p(a) == a:
-                return p
-        raise AssertionError("no nontrivial stabilizer despite admissible pair")
-    return Perm.z_swap(a + 1, a + 2)
-
-
 def _matching_f_element(F: PermGroup, b: int, target: int) -> Perm:
     """The element of F sending b to target (unique when F acts freely)."""
     if F.kind == "finite":
@@ -103,7 +89,9 @@ def fixator_witness(F: PermGroup, Fp: PermGroup, h: HalfTree, sigma: Perm | None
     t, a = h.tail, h.color
     deg = F.degree
     if sigma is None:
-        sigma = _stabilizer_element(F, Fp, a)
+        sigma = point_stabilizer(Fp, a).sample_nontrivial()
+        if sigma is None:
+            raise AssertionError("no nontrivial stabilizer despite admissible pair")
     if sigma(a) != a:
         raise ValueError("sigma must fix the color of the defining edge")
 
@@ -427,18 +415,7 @@ class Certificate:
     status: str = "VALID"
 
     def to_dict(self) -> dict:
-        return {
-            "version": CERT_VERSION,
-            "config": self.config,
-            "group": self.group,
-            "edge": self.edge,
-            "witness_a": self.witness_a,
-            "witness_b": self.witness_b,
-            "orbit": self.orbit,
-            "checks": self.checks,
-            "caveats": self.caveats,
-            "status": self.status,
-        }
+        return {"version": CERT_VERSION, **asdict(self)}
 
 
 def normalize_config(config: dict) -> dict:
@@ -568,17 +545,7 @@ def parse_certificate(text: str) -> Certificate:
     data = json.loads(body)
     if data.get("version") != CERT_VERSION:
         raise ValueError("certificate body version mismatch")
-    return Certificate(
-        config=data["config"],
-        group=data["group"],
-        edge=data["edge"],
-        witness_a=data["witness_a"],
-        witness_b=data["witness_b"],
-        orbit=data["orbit"],
-        checks=data["checks"],
-        caveats=data["caveats"],
-        status=data["status"],
-    )
+    return Certificate(**{f.name: data[f.name] for f in fields(Certificate)})
 
 
 def verify_certificate(text: str) -> tuple[bool, str]:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .portraits import TreeAut
 from .tree_core import (
     V0,
-    AxisEnd,
     DirectedEdge,
     HalfTree,
     Vertex,
@@ -70,40 +69,30 @@ def classify_isometry(g: TreeAut):
     raise AssertionError("midpoint descent failed to converge")
 
 
-def _axis_ray_fn(element: TreeAut, start: Vertex):
-    """Ray prefixes of the end that the forward orbit of `start` converges to.
+def _axis_ray(element: TreeAut, start: Vertex, depth: int) -> Vertex:
+    """The first `depth` letters of the end that the forward orbit of `start`
+    converges to.
 
     Iterating far enough past the projection of the base vertex onto the
     axis, the orbit words become nested prefixes of the limit ray; stability
     of the prefix is asserted before returning.
     """
-    cache: dict[int, Vertex] = {}
-
-    def ray_fn(depth: int) -> Vertex:
-        if depth in cache:
-            return cache[depth]
-        steps = len(start) + depth + 4
-        prev = cur = start
-        for _ in range(steps):
-            prev, cur = cur, element.evaluate(cur)
-        if len(cur) < depth or cur[:depth] != prev[:depth]:
-            raise AssertionError("axis ray prefix failed to stabilize")
-        cache[depth] = cur[:depth]
-        return cache[depth]
-
-    return ray_fn
+    prev = cur = start
+    for _ in range(len(start) + depth + 4):
+        prev, cur = cur, element.evaluate(cur)
+    if len(cur) < depth or cur[:depth] != prev[:depth]:
+        raise AssertionError("axis ray prefix failed to stabilize")
+    return cur[:depth]
 
 
-def axis_and_ends(g: TreeAut) -> tuple[AxisEnd, AxisEnd]:
-    """The attracting and repelling fixed ends of a hyperbolic element."""
+def axis_and_ends(g: TreeAut, depth: int) -> tuple[Vertex, Vertex]:
+    """Ray prefixes of length `depth` of the attracting and repelling fixed
+    ends of a hyperbolic element."""
     cls = classify_isometry(g)
     if not isinstance(cls, Hyperbolic):
         raise ValueError(f"axis ends need a hyperbolic element, got {cls!r}")
     w = cls.axis_point
-    return (
-        AxisEnd(g, 1, _axis_ray_fn(g, w)),
-        AxisEnd(g, -1, _axis_ray_fn(g.inverse(), w)),
-    )
+    return _axis_ray(g, w, depth), _axis_ray(g.inverse(), w, depth)
 
 
 # -- pointwise fixation of half-trees ----------------------------------------
@@ -204,24 +193,21 @@ def general_type_witness(gens: list[TreeAut], search_len: int):
     exists within the length bound -- absence of a witness is never evidence
     against the action being of general type.
     """
-    hyperbolics: list[tuple[tuple[int, ...], TreeAut, Hyperbolic]] = []
-    for word, el in enumerate_products(gens, search_len):
+    hyperbolics: list[tuple[TreeAut, int]] = []
+    for _, el in enumerate_products(gens, search_len):
         cls = classify_isometry(el)
         if isinstance(cls, Hyperbolic):
-            hyperbolics.append((word, el, cls))
+            hyperbolics.append((el, cls.length))
     if not hyperbolics:
         return None
-    max_len_tr = max(cls.length for _, _, cls in hyperbolics)
-    depth = max(2 * max_len_tr * search_len, 8)
-    rays = []
-    for _, el, _ in hyperbolics:
-        att, rep = axis_and_ends(el)
-        rays.append((att.ray_prefix(depth), rep.ray_prefix(depth)))
-    for i in range(len(hyperbolics)):
-        for j in range(i + 1, len(hyperbolics)):
-            four = [rays[i][0], rays[i][1], rays[j][0], rays[j][1]]
-            if len(set(four)) == 4:
-                return hyperbolics[i][1], hyperbolics[j][1]
+    depth = max(2 * max(length for _, length in hyperbolics) * search_len, 8)
+    ends: dict[int, tuple[Vertex, Vertex]] = {}
+    for i, j in itertools.combinations(range(len(hyperbolics)), 2):
+        for k in (i, j):
+            if k not in ends:
+                ends[k] = axis_and_ends(hyperbolics[k][0], depth)
+        if len(set(ends[i] + ends[j])) == 4:
+            return hyperbolics[i][0], hyperbolics[j][0]
     return None
 
 
@@ -270,10 +256,7 @@ def ping_pong_certificate(g1: TreeAut, g2: TreeAut, power: int):
         raise ValueError("both elements must be hyperbolic")
     reach = 2 * power * max(cls1.length, cls2.length) + 8
     depth = reach + 2
-    rays = []
-    for g in (g1, g2):
-        att, rep = axis_and_ends(g)
-        rays += [att.ray_prefix(depth), rep.ray_prefix(depth)]
+    rays = axis_and_ends(g1, depth) + axis_and_ends(g2, depth)
     if len(set(rays)) < 4:
         raise ValueError("end pairs coincide; no table-tennis configuration")
     t1 = g1**power

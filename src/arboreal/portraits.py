@@ -69,7 +69,7 @@ class TreeAut:
 
     __slots__ = ("deg", "base", "core", "branches", "defaults", "_canon")
 
-    def __init__(self, base, core, branches=None, defaults=None, deg=None, _validate=True):
+    def __init__(self, base, core, branches=None, defaults=None, deg=None):
         self.deg = deg
         self.base = check_vertex(base)
         self.core = {check_vertex(v): p for v, p in core.items()}
@@ -78,9 +78,9 @@ class TreeAut:
         if deg is not None:
             for u, f in self.defaults.items():
                 # checked here, since a default is dropped after expansion
-                if _validate and u not in self.core:
+                if u not in self.core:
                     raise PortraitError(f"default at non-core vertex {u!r}")
-                if _validate and f.degree != deg:
+                if f.degree != deg:
                     raise PortraitError(f"permutation domain {f!r} does not match degree {deg}")
                 for c in self.frontier_colors(u):
                     self.branches.setdefault((u, c), f)
@@ -90,8 +90,7 @@ class TreeAut:
                 (u, c): f for (u, c), f in self.branches.items() if f != self.defaults.get(u, f)
             }
         self._canon = None
-        if _validate:
-            self._validate()
+        self._validate()
 
     # -- structure helpers ---------------------------------------------------
 
@@ -201,9 +200,6 @@ class TreeAut:
             y = neighbor(y, c)
             w = neighbor(w, c_img)
         return y
-
-    def displacement(self) -> int:
-        return len(self.base)
 
     # -- constructors ---------------------------------------------------------
 
@@ -556,7 +552,7 @@ def image_prefix(g: TreeAut, ray: Vertex, depth: int) -> Vertex:
     ray starts with `ray`.
 
     Exact: the image of a deep enough ray vertex is a prefix of the image
-    ray, and a ray prefix of length depth + displacement(g) guarantees enough
+    ray, and a ray prefix of length depth + len(g.base) guarantees enough
     letters; a shorter one is refused.
     """
     if len(ray) < depth + len(g.base):

@@ -15,7 +15,7 @@ explicit finite color window.  The tree itself is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 Vertex = tuple[int, ...]
 
@@ -232,41 +232,3 @@ class PeriodicEnd:
         pre = "".join(map(str, self.prefix))
         per = "".join(map(str, self.period))
         return f"End({pre}({per})^oo)"
-
-
-class AxisEnd:
-    """A fixed end of a hyperbolic tree automorphism: +1 attracting, -1 repelling.
-
-    Carries a ray function supplied by the classification machinery; equality
-    against other ends is only available to a stated depth.
-    """
-
-    __slots__ = ("element", "sign", "_ray_fn")
-
-    def __init__(self, element, sign: int, ray_fn: Callable[[int], Vertex]):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.element = element
-        self.sign = sign
-        self._ray_fn = ray_fn
-
-    def ray_prefix(self, depth: int) -> Vertex:
-        return self._ray_fn(depth)
-
-    def __repr__(self) -> str:
-        arrow = "+" if self.sign == 1 else "-"
-        return f"AxisEnd({arrow}, ray={''.join(map(str, self.ray_prefix(8)))}...)"
-
-
-def ends_equal(e1, e2, depth: int | None = None) -> tuple[bool, str]:
-    """Compare two ends, reporting the comparison mode used.
-
-    Periodic/periodic comparison is exact (canonical forms).  As soon as an
-    axis end is involved the comparison is truncated at `depth`, which must
-    then be supplied, and the mode records it.
-    """
-    if isinstance(e1, PeriodicEnd) and isinstance(e2, PeriodicEnd):
-        return e1 == e2, "exact"
-    if depth is None:
-        raise ValueError("depth required to compare axis ends")
-    return e1.ray_prefix(depth) == e2.ray_prefix(depth), f"prefix-depth-{depth}"

@@ -3,7 +3,7 @@ for independent hyperbolic elements and free subgroups."""
 
 import pytest
 
-from arboreal.cstar_obstruction import standard_generators
+from arboreal.cstar_obstruction import resolve_groups, standard_generators
 from arboreal.dynamics import (
     Elliptic,
     Hyperbolic,
@@ -16,7 +16,7 @@ from arboreal.dynamics import (
     ping_pong_certificate,
 )
 from arboreal.perm_groups import Perm, PermGroup
-from arboreal.portraits import GroupClass, TreeAut, end_image_prefix, random_element
+from arboreal.portraits import GroupClass, TreeAut, image_prefix, random_element
 from arboreal.tree_core import V0, distance, enumerate_ball, half_tree
 
 ALT3 = PermGroup.alternating(3)
@@ -97,27 +97,25 @@ def test_classification_is_conjugation_equivariant():
 
 def test_axis_ends_of_the_glide():
     g = TreeAut.from_constant(IDENT3, (0, 1))
-    att, rep = axis_and_ends(g)
-    assert att.ray_prefix(8) == (0, 1, 0, 1, 0, 1, 0, 1)
-    assert rep.ray_prefix(8) == (1, 0, 1, 0, 1, 0, 1, 0)
-    ia, ir = axis_and_ends(g.inverse())
-    assert ia.ray_prefix(8) == rep.ray_prefix(8)
-    assert ir.ray_prefix(8) == att.ray_prefix(8)
+    att, rep = axis_and_ends(g, 8)
+    assert att == (0, 1, 0, 1, 0, 1, 0, 1)
+    assert rep == (1, 0, 1, 0, 1, 0, 1, 0)
+    assert axis_and_ends(g.inverse(), 8) == (rep, att)
 
 
 def test_axis_ends_reject_non_hyperbolic():
     with pytest.raises(ValueError):
-        axis_and_ends(TreeAut.identity(3))
+        axis_and_ends(TreeAut.identity(3), 8)
 
 
 def test_axis_ends_conjugation_equivariance_to_depth_8():
     g = TreeAut.from_constant(IDENT3, (0, 1))
     for s in range(8):
         h = random_element(G_CLASS, 2, seed=4000 + s)
-        att, rep = axis_and_ends(g)
-        catt, crep = axis_and_ends(h * g * h.inverse())
-        assert catt.ray_prefix(8) == end_image_prefix(h, att, 8)
-        assert crep.ray_prefix(8) == end_image_prefix(h, rep, 8)
+        att, rep = axis_and_ends(g, 8 + len(h.base))
+        catt, crep = axis_and_ends(h * g * h.inverse(), 8)
+        assert catt == image_prefix(h, att, 8)
+        assert crep == image_prefix(h, rep, 8)
 
 
 def test_identity_fixes_every_half_tree():
@@ -186,10 +184,36 @@ def test_general_type_witness_found_for_universal_generators():
     g1, g2 = found
     assert isinstance(classify_isometry(g1), Hyperbolic)
     assert isinstance(classify_isometry(g2), Hyperbolic)
-    a1, r1 = axis_and_ends(g1)
-    a2, r2 = axis_and_ends(g2)
-    rays = {e.ray_prefix(12) for e in (a1, r1, a2, r2)}
-    assert len(rays) == 4
+    assert len(set(axis_and_ends(g1, 12) + axis_and_ends(g2, 12))) == 4
+
+
+def eager_general_type_witness(gens, search_len):
+    """Reference search: both axis rays of every hyperbolic product before
+    the first pair is tested."""
+    hyperbolics = []
+    for _, el in enumerate_products(gens, search_len):
+        cls = classify_isometry(el)
+        if isinstance(cls, Hyperbolic):
+            hyperbolics.append((el, cls.length))
+    if not hyperbolics:
+        return None
+    depth = max(2 * max(length for _, length in hyperbolics) * search_len, 8)
+    rays = [axis_and_ends(el, depth) for el, _ in hyperbolics]
+    for i in range(len(hyperbolics)):
+        for j in range(i + 1, len(hyperbolics)):
+            if len(set(rays[i] + rays[j])) == 4:
+                return hyperbolics[i][0], hyperbolics[j][0]
+    return None
+
+
+@pytest.mark.parametrize("preset", ["g-alt3-sym3", "wreath-z3-z2", "z-translations"])
+def test_lazy_general_type_witness_matches_eager_reference(preset):
+    F, _, deg, _ = resolve_groups({"preset": preset})
+    gens = standard_generators(F, deg)
+    found = general_type_witness(gens, 3)
+    assert found is not None
+    expected = eager_general_type_witness(gens, 3)
+    assert [g.key() for g in found] == [g.key() for g in expected]
 
 
 def test_general_type_witness_not_found_for_identity():

@@ -4,12 +4,10 @@ import pytest
 
 from arboreal.tree_core import (
     V0,
-    AxisEnd,
     DirectedEdge,
     HalfTree,
     PeriodicEnd,
     distance,
-    ends_equal,
     enumerate_ball,
     geodesic,
     half_tree,
@@ -147,13 +145,5 @@ def test_periodic_end_rejects_unreduced_rays():
         PeriodicEnd((0,), (0, 1))
 
 
-def test_ends_equal_modes():
-    e1 = PeriodicEnd((), (0, 1))
-    e2 = PeriodicEnd((0, 1, 0), (1, 0))
-    eq, mode = ends_equal(e1, e2)
-    assert eq and mode == "exact"
-    ax = AxisEnd(None, 1, lambda depth: e1.ray_prefix(depth))
-    eq, mode = ends_equal(e1, ax, depth=12)
-    assert eq and mode == "prefix-depth-12"
-    with pytest.raises(ValueError):
-        ends_equal(e1, ax)
+def test_periodic_end_equality_is_structural():
+    assert PeriodicEnd((), (0, 1)) == PeriodicEnd((0, 1, 0), (1, 0))
