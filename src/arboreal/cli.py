@@ -8,7 +8,8 @@ free-product preset "pslz").  Configs are JSON files; the same data can be
 given by flags.  Exit status: 0 success/VALID, 1 pipeline INVALID, 2 parse or
 configuration errors, 3 internal error (a failed internal consistency check,
 such as an end image coming out too short or an axis ray that does not
-stabilize; it points at a bug, not at the input).
+stabilize, or a KeyError from inside the pipeline; it points at a bug, not at
+the input).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cstar_obstruction import (
 from .dynamics import Elliptic, Inversion, classify_isometry
 from .perm_groups import point_stabilizer
 from .piecewise import FreeProductTree, psl2z_tree, pw_half_tree_fixator
-from .portraits import GroupClass, TreeAut, aut_from_data, aut_to_data
+from .portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, require_key
 from .tree_core import V0, DirectedEdge, HalfTree, PeriodicEnd
 
 
@@ -178,7 +179,7 @@ def cmd_witness(args) -> int:
     if config.get("preset") == "pslz" or config.get("free_product"):
         if config.get("free_product"):
             tables = config["free_product"]
-            tree = FreeProductTree(tables["a"], tables["b"])
+            tree = FreeProductTree(*(require_key(tables, k, "free_product") for k in "ab"))
         else:
             tree = psl2z_tree()
         side = 1 if len(tree.tables[1]) >= 3 else 0
@@ -228,11 +229,14 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except KeyError as exc:
+        print(f"internal error: missing key {exc}", file=sys.stderr)
         return 3
 
 

@@ -37,6 +37,7 @@ from .portraits import (
     aut_to_data,
     enumerate_branch_constant,
     image_prefix,
+    require_key,
 )
 from .tree_core import (
     V0,
@@ -356,27 +357,25 @@ def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, int | None, str]
         raise ValueError(f"unknown preset {name!r}")
     if config.get("groups"):
         spec = config["groups"]
-        F = _group_from_spec(spec["F"])
-        Fp = _group_from_spec(spec["Fp"])
+        F = _group_from_spec(require_key(spec, "F", "groups"))
+        Fp = _group_from_spec(require_key(spec, "Fp", "groups"))
         deg = F.degree
         return F, Fp, deg, spec.get("label", "G(F, F')")
-    gamma, a = config["wreath"]["gamma"], config["wreath"]["a"]
+    wreath = config["wreath"]
+    gamma, a = require_key(wreath, "gamma", "wreath"), require_key(wreath, "a", "wreath")
     F, Fp, points, _ = wreath_embedding(gamma, a)
     return F, Fp, len(points), "G(wreath pair)"
 
 
 def _group_from_spec(spec) -> PermGroup:
-    kind = spec["kind"]
-    if kind == "symmetric":
-        return PermGroup.symmetric(spec["degree"])
-    if kind == "alternating":
-        return PermGroup.alternating(spec["degree"])
-    if kind == "cyclic":
-        return PermGroup.cyclic(spec["degree"])
-    if kind == "trivial":
-        return PermGroup.trivial(spec["degree"])
+    kind = require_key(spec, "kind", "group spec")
+    finite = {"symmetric": PermGroup.symmetric, "alternating": PermGroup.alternating,
+              "cyclic": PermGroup.cyclic, "trivial": PermGroup.trivial}
+    if kind in finite:
+        return finite[kind](require_key(spec, "degree", f"{kind} group spec"))
     if kind == "listed":
-        return PermGroup.generated([Perm.from_table(t) for t in spec["perms"]])
+        perms = require_key(spec, "perms", "listed group spec")
+        return PermGroup.generated([Perm.from_table(t) for t in perms])
     if kind == "z_translations":
         return PermGroup.z_translations()
     if kind == "z_finitary":
@@ -428,7 +427,7 @@ def normalize_config(config: dict) -> dict:
         "seed": int(config.get("seed", 0)),
         "search_len": int(config.get("search_len", 3)),
     }
-    if out["word_length"] < 1 or out["depth"] < 1:
+    if min(out["word_length"], out["depth"], out["search_len"]) < 1:
         raise ValueError("numeric bounds must be positive")
     return out
 
@@ -545,7 +544,9 @@ def parse_certificate(text: str) -> Certificate:
     data = json.loads(body)
     if data.get("version") != CERT_VERSION:
         raise ValueError("certificate body version mismatch")
-    return Certificate(**{f.name: data[f.name] for f in fields(Certificate)})
+    return Certificate(
+        **{f.name: require_key(data, f.name, "certificate body") for f in fields(Certificate)}
+    )
 
 
 def verify_certificate(text: str) -> tuple[bool, str]:

@@ -187,27 +187,52 @@ def enumerate_products(gens: list[TreeAut], max_len: int):
 
 def general_type_witness(gens: list[TreeAut], search_len: int):
     """Search products of the generators for two hyperbolic elements whose
-    four axis ends are pairwise distinct to the checked depth.
+    four axis ends are pairwise distinct to depth max(2 Lmax s, 8), where
+    s = `search_len` and Lmax is the largest translation length in the ball.
 
-    Returns the lexicographically first such pair, or None when no witness
-    exists within the length bound -- absence of a witness is never evidence
-    against the action being of general type.
+    Returns the first such pair in `itertools.combinations` order over the
+    hyperbolic products, the pair an eager search of the whole ball returns,
+    or None when no witness exists within the length bound -- absence of a
+    witness is never evidence against the action being of general type.
+
+    Products are drawn lazily.  With m the largest |g.base| of a generator,
+    a product w has translation length <= d(v0, w v0) <= s m, and the power
+    h^(s // k) of a hyperbolic h whose first word has k letters lies in the
+    ball.  So Lmax = s m as soon as some (s // k) l(h) reaches s m; if none
+    does, the ball is drained and Lmax is the largest (s // k) l(h).  Pairs
+    are then tested in order, so draws stop at the product that decides one.
     """
-    hyperbolics: list[tuple[TreeAut, int]] = []
-    for _, el in enumerate_products(gens, search_len):
-        cls = classify_isometry(el)
-        if isinstance(cls, Hyperbolic):
-            hyperbolics.append((el, cls.length))
-    if not hyperbolics:
-        return None
-    depth = max(2 * max(length for _, length in hyperbolics) * search_len, 8)
+    bound = search_len * max(len(g.base) for g in gens)
+    if bound == 0:
+        return None  # every generator fixes v0, so every product is elliptic
+    products = enumerate_products(gens, search_len)
+    hyperbolics: list[TreeAut] = []
+
+    def draw() -> int:
+        # Append the next hyperbolic h; return (s // k) l(h), or 0 once spent.
+        for word, el in products:
+            cls = classify_isometry(el)
+            if isinstance(cls, Hyperbolic):
+                hyperbolics.append(el)
+                return search_len // len(word) * cls.length
+        return 0
+
+    lmax = 0
+    while lmax < bound and (reach := draw()):
+        lmax = max(lmax, reach)
+    depth = max(2 * lmax * search_len, 8)
     ends: dict[int, tuple[Vertex, Vertex]] = {}
-    for i, j in itertools.combinations(range(len(hyperbolics)), 2):
-        for k in (i, j):
-            if k not in ends:
-                ends[k] = axis_and_ends(hyperbolics[k][0], depth)
-        if len(set(ends[i] + ends[j])) == 4:
-            return hyperbolics[i][0], hyperbolics[j][0]
+    i = 0
+    while i < len(hyperbolics) or draw():
+        j = i + 1
+        while j < len(hyperbolics) or draw():
+            for k in (i, j):
+                if k not in ends:
+                    ends[k] = axis_and_ends(hyperbolics[k], depth)
+            if len(set(ends[i] + ends[j])) == 4:
+                return hyperbolics[i], hyperbolics[j]
+            j += 1
+        i += 1
     return None
 
 

@@ -580,10 +580,18 @@ def perm_to_data(p: Perm):
     return {"shift": p.shift, "patch": [[x, y] for x, y in p.patch]}
 
 
+def require_key(spec, key: str, what: str):
+    """spec[key]; a missing key is bad input (ValueError), not a KeyError."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValueError(f"{what} must be an object with the key {key!r}")
+    return spec[key]
+
+
 def perm_from_data(data) -> Perm:
     if isinstance(data, list):
         return Perm.from_table(data)
-    return Perm.z_affine(data["shift"], {x: y for x, y in data["patch"]})
+    shift, patch = (require_key(data, k, "integer-color permutation") for k in ("shift", "patch"))
+    return Perm.z_affine(shift, {x: y for x, y in patch})
 
 
 def aut_to_data(g: TreeAut) -> dict:
@@ -600,8 +608,9 @@ def aut_to_data(g: TreeAut) -> dict:
 
 
 def aut_from_data(data) -> TreeAut:
-    deg = data["degree"]
-    core = {tuple(v): perm_from_data(p) for v, p in data["core"]}
-    branches = {(tuple(u), c): perm_from_data(f) for u, c, f in data["branches"]}
+    keys = ("degree", "base", "core", "branches")
+    deg, base, core, branches = (require_key(data, k, "serialized element") for k in keys)
+    core = {tuple(v): perm_from_data(p) for v, p in core}
+    branches = {(tuple(u), c): perm_from_data(f) for u, c, f in branches}
     defaults = {tuple(v): perm_from_data(p) for v, p in data.get("defaults", [])}
-    return TreeAut(tuple(data["base"]), core, branches, defaults, deg=deg)
+    return TreeAut(tuple(base), core, branches, defaults, deg=deg)

@@ -173,3 +173,42 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "internal error: axis ray prefix failed to stabilize" in err
+
+
+def test_search_len_below_1_is_a_config_error(tmp_path, capsys):
+    for search_len in (0, -2):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "g-alt3-sym3", "search_len": search_len}))
+        out = tmp_path / "c.txt"
+        code, _, err = run_cli(["certify", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "error: numeric bounds must be positive" in err
+        assert not out.exists()
+
+
+def test_groups_spec_without_F_exits_2(tmp_path, capsys):
+    sym3 = {"kind": "symmetric", "degree": 3}
+    cases = [
+        ({"Fp": sym3}, "groups must be an object with the key 'F'"),
+        ({"F": 3, "Fp": sym3}, "group spec must be an object with the key 'kind'"),
+    ]
+    for groups, message in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"groups": groups}))
+        code, _, err = run_cli(
+            ["certify", "--config", str(cfg), "--out", str(tmp_path / "c.txt")], capsys
+        )
+        assert code == 2
+        assert f"error: {message}" in err
+
+
+def test_internal_key_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise KeyError("orbit")
+
+    monkeypatch.setattr("arboreal.cli.build_certificate", broken)
+    code, _, err = run_cli(
+        ["certify", "--preset", "g-alt3-sym3", "--out", str(tmp_path / "c.txt")], capsys
+    )
+    assert code == 3
+    assert "internal error: missing key 'orbit'" in err

@@ -3,7 +3,7 @@ for independent hyperbolic elements and free subgroups."""
 
 import pytest
 
-from arboreal.cstar_obstruction import resolve_groups, standard_generators
+from arboreal.cstar_obstruction import fixator_witness, resolve_groups, standard_generators
 from arboreal.dynamics import (
     Elliptic,
     Hyperbolic,
@@ -206,14 +206,77 @@ def eager_general_type_witness(gens, search_len):
     return None
 
 
-@pytest.mark.parametrize("preset", ["g-alt3-sym3", "wreath-z3-z2", "z-translations"])
-def test_lazy_general_type_witness_matches_eager_reference(preset):
-    F, _, deg, _ = resolve_groups({"preset": preset})
-    gens = standard_generators(F, deg)
-    found = general_type_witness(gens, 3)
-    assert found is not None
-    expected = eager_general_type_witness(gens, 3)
-    assert [g.key() for g in found] == [g.key() for g in expected]
+PRESETS = ["g-alt3-sym3", "g-cycle5-alt5", "wreath-z2-z2", "wreath-z2-z3",
+           "wreath-z3-z2", "z-translations"]
+
+
+def generator_set(name):
+    """Standard generators of a preset; "rot", where no product's power
+    reaches the displacement bound (translation length 1 < m = 2); "glide-fix",
+    the glide and two half-tree fixators, where the first hyperbolic shares an
+    end with the next nine and the first pair is (0, 10) although (3, 4)
+    works; or "elliptic", a single generator fixing v0 (m = 0)."""
+    if name == "rot":
+        return [TreeAut.from_constant(ROT, (0,)), TreeAut.from_constant(ROT, (0, 1))]
+    if name == "glide-fix":
+        fix = [fixator_witness(ALT3, SYM3, half_tree(tail, 0)) for tail in [V0, (1,)]]
+        return [TreeAut.from_constant(IDENT3, (0, 1))] + fix
+    if name == "elliptic":
+        return [TreeAut.from_constant(ROT, V0)]
+    F, _, deg, _ = resolve_groups({"preset": name})
+    return standard_generators(F, deg)
+
+
+def keys(pair):
+    return None if pair is None else [g.key() for g in pair]
+
+
+@pytest.mark.parametrize("name", PRESETS + ["rot", "glide-fix", "elliptic"])
+def test_lazy_general_type_witness_matches_eager_reference(name):
+    gens = generator_set(name)
+    for search_len in (1, 2, 3):
+        expected = eager_general_type_witness(gens, search_len)
+        assert keys(general_type_witness(gens, search_len)) == keys(expected)
+        if name in PRESETS and search_len == 3:
+            assert expected is not None
+
+
+def count_draws(monkeypatch, gens, search_len):
+    """The witness search's result and the number of products it drew."""
+    drawn = []
+
+    def counting(*args):
+        for item in enumerate_products(*args):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr("arboreal.dynamics.enumerate_products", counting)
+    found = general_type_witness(gens, search_len)
+    monkeypatch.undo()
+    return found, len(drawn)
+
+
+def test_general_type_witness_stops_at_the_deciding_product(monkeypatch):
+    gens = generator_set("wreath-z3-z2")
+    found, drawn = count_draws(monkeypatch, gens, 3)
+    ball = [el.key() for _, el in enumerate_products(gens, 3)]
+    assert drawn == ball.index(found[1].key()) + 1 == 12
+
+
+@pytest.mark.parametrize("search_len", [1, 2, 3])
+def test_general_type_witness_drains_the_ball_without_a_proving_product(monkeypatch, search_len):
+    gens = generator_set("rot")
+    ball = list(enumerate_products(gens, search_len))
+    classes = [classify_isometry(el) for _, el in ball]
+    lmax = max((c.length for c in classes if isinstance(c, Hyperbolic)), default=0)
+    assert lmax < search_len * 2  # no power reaches s·m, so nothing proves Lmax early
+    found, drawn = count_draws(monkeypatch, gens, search_len)
+    assert keys(found) == keys(eager_general_type_witness(gens, search_len))
+    assert drawn == len(ball)
+
+
+def test_general_type_witness_needs_no_products_when_every_generator_fixes_v0(monkeypatch):
+    assert count_draws(monkeypatch, generator_set("elliptic"), 3) == (None, 0)
 
 
 def test_general_type_witness_not_found_for_identity():
