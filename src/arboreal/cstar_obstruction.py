@@ -417,16 +417,23 @@ class Certificate:
         return {"version": CERT_VERSION, **asdict(self)}
 
 
+# the integer bounds of a config and their defaults
+_BOUND_DEFAULTS = {"word_length": 3, "depth": 16, "seed": 0, "search_len": 3}
+
+
 def normalize_config(config: dict) -> dict:
-    out = {
-        "preset": config.get("preset"),
-        "groups": config.get("groups"),
-        "wreath": config.get("wreath"),
-        "word_length": int(config.get("word_length", 3)),
-        "depth": int(config.get("depth", 16)),
-        "seed": int(config.get("seed", 0)),
-        "search_len": int(config.get("search_len", 3)),
-    }
+    """The config with every key filled in.  A config that is not a JSON
+    object, or a bound that is not a JSON integer (null, a boolean, a float
+    or a string), is bad input: a ValueError."""
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {json.dumps(config, default=repr)}")
+    out = {key: config.get(key) for key in ("preset", "groups", "wreath")}
+    for key, default in _BOUND_DEFAULTS.items():
+        value = config.get(key, default)
+        if type(value) is not int:  # bool is a subclass of int; reject it too
+            got = json.dumps(value, default=repr)
+            raise ValueError(f"{key} must be a JSON integer, got {got}")
+        out[key] = value
     if min(out["word_length"], out["depth"], out["search_len"]) < 1:
         raise ValueError("numeric bounds must be positive")
     return out
@@ -542,6 +549,8 @@ def parse_certificate(text: str) -> Certificate:
     if header.strip() != CERT_VERSION:
         raise ValueError(f"unsupported certificate version {header.strip()!r}")
     data = json.loads(body)
+    if not isinstance(data, dict):
+        raise ValueError("certificate body must be a JSON object")
     if data.get("version") != CERT_VERSION:
         raise ValueError("certificate body version mismatch")
     return Certificate(

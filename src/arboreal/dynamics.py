@@ -69,16 +69,20 @@ def classify_isometry(g: TreeAut):
     raise AssertionError("midpoint descent failed to converge")
 
 
-def _axis_ray(element: TreeAut, start: Vertex, depth: int) -> Vertex:
+def _axis_ray(element: TreeAut, start: Vertex, length: int, depth: int) -> Vertex:
     """The first `depth` letters of the end that the forward orbit of `start`
-    converges to.
+    converges to, for `start` on the axis and translation length `length`.
 
-    Iterating far enough past the projection of the base vertex onto the
-    axis, the orbit words become nested prefixes of the limit ray; stability
-    of the prefix is asserted before returning.
+    The projection p of the base vertex onto the axis lies on the geodesic
+    from `start` to the base vertex, so d(start, p) <= |start|.  Once
+    k * length >= |start| + depth, the word of element^k(start) runs through
+    p and then along the axis past p for at least `depth` letters, so it is
+    a prefix of the limit ray of at least that length.  Walking
+    ceil((|start| + depth) / length) + 1 steps makes both of the last two
+    orbit words such prefixes; their agreement is still asserted.
     """
     prev = cur = start
-    for _ in range(len(start) + depth + 4):
+    for _ in range(-(-(len(start) + depth) // length) + 1):
         prev, cur = cur, element.evaluate(cur)
     if len(cur) < depth or cur[:depth] != prev[:depth]:
         raise AssertionError("axis ray prefix failed to stabilize")
@@ -91,8 +95,8 @@ def axis_and_ends(g: TreeAut, depth: int) -> tuple[Vertex, Vertex]:
     cls = classify_isometry(g)
     if not isinstance(cls, Hyperbolic):
         raise ValueError(f"axis ends need a hyperbolic element, got {cls!r}")
-    w = cls.axis_point
-    return _axis_ray(g, w, depth), _axis_ray(g.inverse(), w, depth)
+    w, length = cls.axis_point, cls.length
+    return _axis_ray(g, w, length, depth), _axis_ray(g.inverse(), w, length, depth)
 
 
 # -- pointwise fixation of half-trees ----------------------------------------

@@ -171,8 +171,13 @@ class TreeAut:
     def evaluate(self, v) -> Vertex:
         """Image of the vertex: walk the word through the local actions.
 
-        Prefixes inside the core use its permutations; once the walk leaves
-        the core it stays in one branch, whose constant covers the rest.
+        Prefixes inside the core use its permutations, one letter at a time.
+        Once the walk leaves the core it stays in the branch of the frontier
+        edge it crossed, whose constant f maps the whole tail at once.  The
+        image letters can only cancel against w before the first of them is
+        appended: v is reduced and f is a bijection, so consecutive image
+        letters differ, and an appended letter is never undone by the next.
+        So w is cut back once and extended once, in time linear in |v|.
         """
         v = tuple(v)
         w = self.base
@@ -182,10 +187,13 @@ class TreeAut:
             w = neighbor(w, core[v[:i]](v[i]))
             i += 1
         if i < n:
-            f = self.local_action(v[:i])
-            while i < n:
-                w = neighbor(w, f(v[i]))
-                i += 1
+            f = self.frontier_rule(v[: i - 1], v[i - 1])
+            img = tuple(map(f.table.__getitem__ if f.table is not None else f, v[i:]))
+            j, k = len(w), 0
+            while j and k < len(img) and w[j - 1] == img[k]:
+                j -= 1
+                k += 1
+            w = w[:j] + img[k:]
         return w
 
     def preimage(self, x) -> Vertex:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from arboreal.cli import main
 
 
@@ -82,6 +84,24 @@ def test_verify_names_the_first_tampered_key_path(tmp_path, capsys):
     assert code == 1
     assert "disagrees" in stdout
     assert stdout.strip().endswith("at checks.annihilation.total")
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda data: {**data, "config": [1]}, "config must be a JSON object, got [1]"),
+        (lambda data: [1], "certificate body must be a JSON object"),
+    ],
+)
+def test_verify_non_object_config_or_body_exits_2(tmp_path, capsys, tamper, message):
+    out = tmp_path / "cert.txt"
+    run_cli(["certify", "--preset", "g-alt3-sym3", "--word-length", "2", "--out", str(out)], capsys)
+    header, _, body = out.read_text().partition("\n")
+    out.write_text(header + "\n" + json.dumps(tamper(json.loads(body))) + "\n")
+    code, stdout, err = run_cli(["verify", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
 
 
 def test_classify_identity(capsys):
@@ -212,3 +232,17 @@ def test_internal_key_error_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "internal error: missing key 'orbit'" in err
+
+
+@pytest.mark.parametrize("key", ["word_length", "depth", "seed", "search_len"])
+@pytest.mark.parametrize("value, shown", [(None, "null"), (True, "true"), (2.0, "2.0"),
+                                          ("2", '"2"')])
+def test_non_integer_bound_is_a_config_error(tmp_path, capsys, key, value, shown):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "g-alt3-sym3", key: value}))
+    out = tmp_path / "c.txt"
+    code, stdout, err = run_cli(["certify", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {key} must be a JSON integer, got {shown}\n"
+    assert not out.exists()

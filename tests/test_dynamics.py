@@ -8,6 +8,7 @@ from arboreal.dynamics import (
     Elliptic,
     Hyperbolic,
     Inversion,
+    _axis_ray,
     axis_and_ends,
     classify_isometry,
     enumerate_products,
@@ -373,3 +374,50 @@ def test_half_tree_fixation_oracle_over_integer_colors():
             else:
                 # moved witnesses for these elements lie within the window
                 assert not ball_fixed, (g, h)
+
+
+def reference_axis_and_ends(g, depth):
+    """axis_and_ends with the axis walk of the fixed length |w| + depth + 4,
+    which is never shorter than the proven one, from the axis point w."""
+    w = classify_isometry(g).axis_point
+
+    def ray(element):
+        prev = cur = w
+        for _ in range(len(w) + depth + 4):
+            prev, cur = cur, element.evaluate(cur)
+        assert cur[:depth] == prev[:depth]
+        return cur[:depth]
+
+    return ray(g), ray(g.inverse())
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_axis_walk_of_proven_length_matches_the_long_walk(name):
+    for _, el in enumerate_products(generator_set(name), 3):
+        if isinstance(classify_isometry(el), Hyperbolic):
+            for depth in (8, 24):
+                assert axis_and_ends(el, depth) == reference_axis_and_ends(el, depth)
+
+
+def test_axis_walk_of_a_glide_conjugated_away_from_v0():
+    # the constant identity portrait with base b acts as v -> b v (reduced), so
+    # this is v -> b (01) b^-1 v: translation length 2 along the axis b (01)^Z,
+    # whose nearest point to v0 is b
+    b = TreeAut.from_constant(IDENT3, (2, 0, 2))
+    g = b * TreeAut.from_constant(IDENT3, (0, 1)) * b.inverse()
+    cls = classify_isometry(g)
+    assert cls.length == 2 and len(cls.axis_point) >= 3
+    for depth in (8, 24):
+        att, rep = axis_and_ends(g, depth)
+        assert (att, rep) == reference_axis_and_ends(g, depth)
+        assert att == ((2, 0, 2) + (0, 1) * depth)[:depth]
+        assert rep == ((2, 0, 2) + (1, 0) * depth)[:depth]
+
+
+def test_axis_walk_length_is_tight_from_behind_the_projection():
+    # (10)^3 lies on the glide's axis, 6 steps behind v0, the projection of v0:
+    # after ceil((6 + 8) / 2) + 1 = 8 steps the last two orbit words are
+    # (01)^4 and (01)^5, and one step less would leave (01)^3, too short
+    g = TreeAut.from_constant(IDENT3, (0, 1))
+    assert _axis_ray(g, (1, 0) * 3, 2, 8) == (0, 1) * 4
+    assert _axis_ray(g.inverse(), (0, 1) * 3, 2, 8) == (1, 0) * 4

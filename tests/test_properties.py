@@ -1,6 +1,7 @@
 """Property tests of the branch-rule view shared by finite and integer
 colors: canonical forms, the defaults expansion at a finite degree,
-serialization, and the group laws.
+serialization, the group laws, and vertex evaluation against a
+letter-by-letter reference walk.
 
 Finite elements are random members of G(Alt(3), Sym(3)) and U(Sym(3));
 integer elements are short products of half-tree fixator witnesses and
@@ -10,10 +11,10 @@ translation constants, whose portraits carry defaults and exceptions.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arboreal.cstar_obstruction import fixator_witness
+from arboreal.cstar_obstruction import fixator_witness, resolve_groups, standard_generators
 from arboreal.perm_groups import Perm, PermGroup
 from arboreal.portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, random_element
-from arboreal.tree_core import V0, enumerate_ball, half_tree
+from arboreal.tree_core import V0, enumerate_ball, half_tree, neighbor
 
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
@@ -30,8 +31,8 @@ finite_elements = st.builds(
 )
 
 
-def _reduced_words(max_len: int):
-    return st.lists(st.sampled_from(list(WINDOW)), max_size=max_len).filter(
+def _reduced_words(max_len: int, colors=WINDOW):
+    return st.lists(st.sampled_from(list(colors)), max_size=max_len).filter(
         lambda w: all(a != b for a, b in zip(w, w[1:]))
     ).map(tuple)
 
@@ -120,3 +121,41 @@ def test_group_laws(data):
     for v in _ball(g):
         assert gh.evaluate(v) == g.evaluate(h.evaluate(v))
         assert gh.local_action(v) == g.local_action(h.evaluate(v)) * h.local_action(v)
+
+
+def _generator_products(preset: str):
+    """Products of one to four standard generators of the preset and their
+    inverses."""
+    F, _, deg, _ = resolve_groups({"preset": preset})
+    gens = standard_generators(F, deg)
+    letters = gens + [g.inverse() for g in gens]
+    return st.lists(st.sampled_from(letters), min_size=1, max_size=4).map(_product)
+
+
+evaluated_elements = st.one_of(
+    _generator_products("g-alt3-sym3"), _generator_products("z-translations"), elements
+)
+
+
+def reference_evaluate(g, v):
+    """g(v) by crossing one edge per letter, each colored by sigma(g, prefix)."""
+    w = g.base
+    for i, c in enumerate(v):
+        w = neighbor(w, g.local_action(v[:i])(c))
+    return w
+
+
+@PROPERTY
+@given(st.data())
+def test_evaluate_matches_the_letter_by_letter_walk(data):
+    g = data.draw(evaluated_elements)
+    words = _reduced_words(12, range(g.deg) if g.deg is not None else WINDOW)
+    v = data.draw(words)
+    assert g.evaluate(v) == reference_evaluate(g, v)
+    # the vertex mapped into g.base[:k] + tail: its image walk first climbs
+    # back through g.base, so image letters cancel before any is appended
+    k = data.draw(st.integers(0, len(g.base)))
+    x = g.base[:k] + data.draw(words)
+    if all(a != b for a, b in zip(x, x[1:])):
+        u = g.preimage(x)
+        assert g.evaluate(u) == reference_evaluate(g, u) == x
