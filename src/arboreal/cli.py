@@ -30,7 +30,6 @@ from .cstar_obstruction import (
 )
 from .dynamics import Elliptic, Inversion, classify_isometry
 from .perm_groups import point_stabilizer
-from .piecewise import FreeProductTree, psl2z_tree, pw_half_tree_fixator
 from .portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, require_key
 from .tree_core import V0, DirectedEdge, HalfTree, PeriodicEnd
 
@@ -177,6 +176,9 @@ def cmd_orbit(args) -> int:
 def cmd_witness(args) -> int:
     config = _load_config(args)
     if config.get("preset") == "pslz" or config.get("free_product"):
+        # only this branch needs the piecewise module, so only it loads it
+        from .piecewise import FreeProductTree, psl2z_tree, pw_half_tree_fixator
+
         if config.get("free_product"):
             tables = config["free_product"]
             tree = FreeProductTree(*(require_key(tables, k, "free_product") for k in "ab"))

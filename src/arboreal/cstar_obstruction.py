@@ -33,7 +33,6 @@ from .perm_groups import (
 from .portraits import (
     GroupClass,
     TreeAut,
-    aut_from_data,
     aut_to_data,
     enumerate_branch_constant,
     image_prefix,
@@ -236,8 +235,6 @@ class AnnihilationReport:
     total: int
     passed: int
     failures: list[tuple[tuple[int, ...], str]]
-    depth: int
-    caveat: str
 
     @property
     def ok(self) -> bool:
@@ -263,8 +260,6 @@ def convolution_annihilation_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncatio
         total=len(orbit.points),
         passed=len(orbit.points) - len(failures),
         failures=failures,
-        depth=depth,
-        caveat=f"end images compared at depth {depth}",
     )
 
 
@@ -328,6 +323,16 @@ def fixator_filtration_check(F: PermGroup, Fp: PermGroup, h: HalfTree, level: in
 # -- presets, pipeline, certificates -------------------------------------------
 
 
+def _json_typed(value, kind: type, what: str):
+    """value, if it is exactly a JSON integer (kind int) or string (kind
+    str); anything else is bad input, a ValueError.  The test is on the exact
+    type because bool is a subclass of int and a JSON boolean is no integer."""
+    if type(value) is not kind:
+        name = "integer" if kind is int else "string"
+        raise ValueError(f"{what} must be a JSON {name}, got {json.dumps(value, default=repr)}")
+    return value
+
+
 def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, int | None, str]:
     """Resolve the (F, F') pair named by a config: a preset name, an explicit
     finite pair, or wreath parameters.  Exactly one source must be given."""
@@ -335,7 +340,7 @@ def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, int | None, str]
     if len(sources) != 1:
         raise ValueError(f"exactly one group source required, got {sources or 'none'}")
     if config.get("preset"):
-        name = config["preset"]
+        name = _json_typed(config["preset"], str, "preset")
         if name == "g-alt3-sym3":
             return PermGroup.alternating(3), PermGroup.symmetric(3), 3, "G(Alt(3), Sym(3))"
         if name == "g-cycle5-alt5":
@@ -368,11 +373,12 @@ def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, int | None, str]
 
 
 def _group_from_spec(spec) -> PermGroup:
-    kind = require_key(spec, "kind", "group spec")
+    kind = _json_typed(require_key(spec, "kind", "group spec"), str, "group spec kind")
     finite = {"symmetric": PermGroup.symmetric, "alternating": PermGroup.alternating,
               "cyclic": PermGroup.cyclic, "trivial": PermGroup.trivial}
     if kind in finite:
-        return finite[kind](require_key(spec, "degree", f"{kind} group spec"))
+        degree = require_key(spec, "degree", f"{kind} group spec")
+        return finite[kind](_json_typed(degree, int, f"{kind} group spec degree"))
     if kind == "listed":
         perms = require_key(spec, "perms", "listed group spec")
         return PermGroup.generated([Perm.from_table(t) for t in perms])
@@ -429,11 +435,7 @@ def normalize_config(config: dict) -> dict:
         raise ValueError(f"config must be a JSON object, got {json.dumps(config, default=repr)}")
     out = {key: config.get(key) for key in ("preset", "groups", "wreath")}
     for key, default in _BOUND_DEFAULTS.items():
-        value = config.get(key, default)
-        if type(value) is not int:  # bool is a subclass of int; reject it too
-            got = json.dumps(value, default=repr)
-            raise ValueError(f"{key} must be a JSON integer, got {got}")
-        out[key] = value
+        out[key] = _json_typed(config.get(key, default), int, key)
     if min(out["word_length"], out["depth"], out["search_len"]) < 1:
         raise ValueError("numeric bounds must be positive")
     return out
@@ -588,7 +590,3 @@ def _first_difference(a, b, path=()):
                 return found
         return None if len(a) == len(b) else path + (min(len(a), len(b)),)
     return None if type(a) is type(b) and a == b else path
-
-
-def certificate_witnesses(cert: Certificate) -> tuple[TreeAut, TreeAut]:
-    return aut_from_data(cert.witness_a), aut_from_data(cert.witness_b)

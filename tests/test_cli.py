@@ -1,6 +1,10 @@
 """Command-line front-end: exit codes, determinism, and report content."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,45 @@ def test_non_integer_bound_is_a_config_error(tmp_path, capsys, key, value, shown
     assert stdout == ""
     assert err == f"error: {key} must be a JSON integer, got {shown}\n"
     assert not out.exists()
+
+
+SYM3 = {"kind": "symmetric", "degree": 3}
+
+
+@pytest.mark.parametrize("command", [["certify"], ["classify", "--element", "identity"],
+                                     ["orbit"], ["witness"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("config, message", [
+    pytest.param({"preset": [1]}, "preset must be a JSON string, got [1]", id="preset-list"),
+    pytest.param({"preset": 7}, "preset must be a JSON string, got 7", id="preset-int"),
+    pytest.param({"groups": {"F": {"kind": "alternating", "degree": "3"}, "Fp": SYM3}},
+                 'alternating group spec degree must be a JSON integer, got "3"',
+                 id="degree-string"),
+    pytest.param({"groups": {"F": {"kind": "alternating", "degree": 3.0}, "Fp": SYM3}},
+                 "alternating group spec degree must be a JSON integer, got 3.0",
+                 id="degree-float"),
+    pytest.param({"groups": {"F": {"kind": ["alternating"], "degree": 3}, "Fp": SYM3}},
+                 'group spec kind must be a JSON string, got ["alternating"]', id="kind-list"),
+])
+def test_ill_typed_group_source_is_a_config_error(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_cli([*command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_package_root_and_cli_leave_piecewise_unloaded():
+    probe = (
+        "import json, sys\n"
+        "import arboreal\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('arboreal.'))\n"
+        "import arboreal.cli\n"
+        "print(json.dumps([loaded, 'arboreal.piecewise' in sys.modules]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [[], False]

@@ -7,7 +7,6 @@ import pytest
 
 from arboreal.cstar_obstruction import (
     build_certificate,
-    certificate_witnesses,
     convolution_annihilation_check,
     disjoint_support_check,
     disjoint_support_pair,
@@ -22,7 +21,7 @@ from arboreal.cstar_obstruction import (
 )
 from arboreal.dynamics import fixes_half_tree_pointwise
 from arboreal.perm_groups import Perm, PermGroup
-from arboreal.portraits import GroupClass, TreeAut, end_image_prefix
+from arboreal.portraits import GroupClass, TreeAut, aut_from_data, end_image_prefix
 from arboreal.tree_core import V0, DirectedEdge, HalfTree, PeriodicEnd, half_tree
 
 ALT3 = PermGroup.alternating(3)
@@ -226,7 +225,7 @@ def test_build_certificate_valid_for_alt3_sym3():
     assert cert.checks["annihilation"]["failures"] == []
     assert cert.checks["commute"] is True
     assert cert.group["edge_stabilizer_amenability"].startswith("finite")
-    a, b = certificate_witnesses(cert)
+    a, b = aut_from_data(cert.witness_a), aut_from_data(cert.witness_b)
     assert a * b == b * a
 
 
