@@ -40,26 +40,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="certificates for prescribed-local-action tree groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("certify", "run the full pipeline and write a certificate"),
-        ("classify", "classify one element and report class membership"),
-        ("orbit", "print a truncated boundary orbit"),
-        ("witness", "construct and print a half-tree fixator witness"),
-        ("verify", "re-run a stored certificate and compare"),
-    ]:
+
+    def command(name: str, helptext: str, *bounds: str) -> argparse.ArgumentParser:
+        # every command but verify names a group and writes its output to --out
         p = sub.add_parser(name, help=helptext)
-        if name != "verify":
-            p.add_argument("--preset", help="named group preset, e.g. g-alt3-sym3")
-            p.add_argument("--config", help="path to a JSON config file")
-            p.add_argument("--word-length", type=int, default=None)
-            p.add_argument("--depth", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--preset", help="named group preset, e.g. g-alt3-sym3")
+        p.add_argument("--config", help="path to a JSON config file")
+        for flag in bounds:
+            p.add_argument(flag, type=int, default=None)
         p.add_argument("--out", help="output path")
-        if name == "classify":
-            p.add_argument("--element", required=True,
-                           help="serialized element (JSON) or word in g0, g1, ... with ^-1")
-        if name == "verify":
-            p.add_argument("certificate", help="path to a certificate file")
+        return p
+
+    command("certify", "run the full pipeline and write a certificate",
+            "--word-length", "--depth", "--seed")
+    command("classify", "classify one element and report class membership").add_argument(
+        "--element", required=True,
+        help="serialized element (JSON) or word in g0, g1, ... with ^-1")
+    command("orbit", "print a truncated boundary orbit", "--word-length", "--depth")
+    command("witness", "construct and print a half-tree fixator witness")
+    sub.add_parser("verify", help="re-run a stored certificate and compare").add_argument(
+        "certificate", help="path to a certificate file")
     return parser
 
 
@@ -74,8 +74,8 @@ def _load_config(args) -> dict:
         if config.get("preset") and config["preset"] != args.preset:
             raise ValueError("preset given both in the config file and on the command line")
         config["preset"] = args.preset
-    for key, flag in [("word_length", "word_length"), ("depth", "depth"), ("seed", "seed")]:
-        value = getattr(args, flag, None)
+    for key in ("word_length", "depth", "seed"):
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     return config
@@ -134,22 +134,20 @@ def cmd_classify(args) -> int:
     cls = classify_isometry(g)
     if isinstance(cls, Elliptic):
         vname = "".join(map(str, cls.fixed_vertex)) or "v0"
-        print(f"isometry type: elliptic, fixes vertex {vname}")
-        print("translation length: 0")
+        lines = [f"isometry type: elliptic, fixes vertex {vname}", "translation length: 0"]
     elif isinstance(cls, Inversion):
         tail = "".join(map(str, cls.edge.tail)) or "v0"
-        print(f"isometry type: inversion of the color-{cls.edge.color} edge at {tail}")
-        print("translation length: 0")
+        lines = [f"isometry type: inversion of the color-{cls.edge.color} edge at {tail}",
+                 "translation length: 0"]
     else:
-        print("isometry type: hyperbolic")
-        print(f"translation length: {cls.length}")
+        lines = ["isometry type: hyperbolic", f"translation length: {cls.length}"]
     flags = {
         "U(F)": GroupClass.universal(F).contains(g),
         "G(F,F')": GroupClass.prescribed(F, Fp).contains(g),
         "G(F,F')*": GroupClass.prescribed_star(F, Fp).contains(g),
     }
-    for name, member in flags.items():
-        print(f"member of {name}: {'yes' if member else 'no'}")
+    lines += [f"member of {name}: {'yes' if member else 'no'}" for name, member in flags.items()]
+    _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -381,6 +381,11 @@ def _group_from_spec(spec) -> PermGroup:
         return finite[kind](_json_typed(degree, int, f"{kind} group spec degree"))
     if kind == "listed":
         perms = require_key(spec, "perms", "listed group spec")
+        if not isinstance(perms, list) or not all(
+            isinstance(t, list) and all(type(x) is int for x in t) for t in perms
+        ):
+            raise ValueError("listed group spec perms must be a list of lists of JSON integers, "
+                             f"got {json.dumps(perms, default=repr)}")
         return PermGroup.generated([Perm.from_table(t) for t in perms])
     if kind == "z_translations":
         return PermGroup.z_translations()

@@ -24,7 +24,6 @@ from .tree_core import (
     half_tree_contains,
     half_tree_subset,
     half_trees_disjoint,
-    is_prefix,
 )
 
 
@@ -103,57 +102,28 @@ def axis_and_ends(g: TreeAut, depth: int) -> tuple[Vertex, Vertex]:
 
 
 def fixes_half_tree_pointwise(g: TreeAut, h: HalfTree) -> bool:
-    """True iff g fixes every vertex of the half-tree.
+    """True iff g fixes every vertex of the half-tree h.
 
-    Decided from finitely many checks on the canonical form: core vertices
-    inside the half-tree must be fixed, and each branch meeting it must carry
-    the identity constant with a fixed root (a branch that contains the whole
-    half-tree instead needs the half-tree's root fixed).  Explicit branch
-    rules are checked one by one.  A default rule covers cofinitely many
-    branches: when those meet the half-tree it must be the identity at a
-    fixed vertex whose permutation moves finitely many colors, and the
-    colors it moves, or that lead toward the half-tree, are checked one by
-    one.
+    Criterion: g fixes h pointwise iff g fixes the head of h and its local
+    action is the identity at every vertex of h.  If so, g(neighbor(v, c)) =
+    neighbor(g(v), c) walks the fixed head out to all of h.  Conversely, at a
+    vertex of h every neighbor but at most one (the tail, at the head) lies
+    in h and is fixed, and a permutation fixing all colors but one fixes
+    that one too.
+
+    Once the core holds both ends of h's edge, every branch is a connected
+    set that misses that edge, so it lies in h iff the core vertex it hangs
+    from does.  The local actions on h are then the core permutations of the
+    core vertices in h and the branch rules and defaults hung from them.
     """
-    gc = g.canonical()
-    for u in gc.core:
-        if half_tree_contains(h, u) and gc.evaluate(u) != u:
-            return False
-    hh, t, cyl = h.head, h.tail, h.is_cylinder
-
-    def branch_ok(u: Vertex, c: int, f) -> bool:
-        n = u + (c,)
-        if cyl:
-            if is_prefix(n, hh) and n != hh:
-                rel = "contains_h"
-            elif is_prefix(hh, n):
-                rel = "meets"
-            else:
-                return True  # incomparable cylinders are disjoint
-        else:
-            if is_prefix(t, n):
-                return True  # the branch lies under t, outside the half-tree
-            rel = "meets"
-        if rel == "contains_h":
-            return f.is_identity() and gc.evaluate(hh) == hh
-        return f.is_identity() and gc.evaluate(n) == n
-
-    if not all(branch_ok(u, c, f) for (u, c), f in gc.branches.items()):
-        return False
-    for u, f in gc.defaults.items():
-        moved = gc.core[u].moved_colors()
-        generic_meets = is_prefix(hh, u) if cyl else not is_prefix(t, u)
-        if generic_meets and (not f.is_identity() or gc.evaluate(u) != u or moved is None):
-            return False
-        candidates = set(moved or ())
-        if cyl and len(hh) > len(u) and is_prefix(u, hh):
-            candidates.add(hh[len(u)])
-        if not cyl and len(t) > len(u) and is_prefix(u, t):
-            candidates.add(t[len(u)])
-        for c in sorted(candidates):
-            if gc.is_frontier_color(u, c) and not branch_ok(u, c, gc.frontier_rule(u, c)):
-                return False
-    return True
+    g = g.extended([h.tail, h.head])
+    inside = {u for u in g.core if half_tree_contains(h, u)}
+    perms = itertools.chain(
+        (g.core[u] for u in inside),
+        (f for (u, _), f in g.branches.items() if u in inside),
+        (f for u, f in g.defaults.items() if u in inside),
+    )
+    return g.evaluate(h.head) == h.head and all(p.is_identity() for p in perms)
 
 
 # -- products, independence witnesses, table tennis ---------------------------

@@ -405,18 +405,22 @@ def point_stabilizer(Fp: PermGroup, a: int) -> PermGroup:
 # -- finite group tables and the wreath construction -----------------------
 
 
-def check_group_table(table) -> tuple[tuple[int, ...], ...]:
-    """Validate a multiplication table (indices, row i * column j) and return it.
+def check_group_table(table) -> tuple[tuple[tuple[int, ...], ...], int, list[int]]:
+    """Validate a multiplication table (indices, row i * column j) and return
+    it with its identity and the list of inverses.
 
-    Requires a two-sided identity, inverses and associativity; the identity
-    may sit at any index.
+    Requires a nonempty square list of lists of JSON integers with a
+    two-sided identity, inverses and associativity; the identity may sit at
+    any index.
     """
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise ValueError("group table must be a list of lists of JSON integers")
     t = tuple(tuple(row) for row in table)
     n = len(t)
     if n == 0 or any(len(row) != n for row in t):
         raise ValueError("table must be square and nonempty")
-    if any(x not in range(n) for row in t for x in row):
-        raise ValueError("table entries must index elements")
+    if any(type(x) is not int or x not in range(n) for row in t for x in row):
+        raise ValueError("table entries must be integers indexing elements")
     ids = [e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))]
     if len(ids) != 1:
         raise ValueError("table has no two-sided identity")
@@ -429,17 +433,7 @@ def check_group_table(table) -> tuple[tuple[int, ...], ...]:
             for z in range(n):
                 if t[t[x][y]][z] != t[x][t[y][z]]:
                     raise ValueError("table is not associative")
-    return t
-
-
-def table_identity(table) -> int:
-    n = len(table)
-    return next(e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n)))
-
-
-def table_inverse(table, x: int) -> int:
-    e = table_identity(table)
-    return next(y for y in range(len(table)) if table[x][y] == e)
+    return t, e, [row.index(e) for row in t]
 
 
 def cyclic_table(n: int) -> list[list[int]]:
@@ -459,15 +453,13 @@ def wreath_embedding(gamma_table, a_table):
     transitively, F' acts faithfully, and every point stabilizer in F' is a
     conjugate of the shift copy of A.
     """
-    gt = check_group_table(gamma_table)
-    at = check_group_table(a_table)
+    gt, ge, _ = check_group_table(gamma_table)
+    at, ae, a_inv = check_group_table(a_table)
     ng, na = len(gt), len(at)
     if ng < 2:
         raise ValueError("trivial Gamma: faithfulness of the wreath action fails")
     if na < 2:
         raise ValueError("trivial A: the construction needs a nontrivial shift group")
-    ge, ae = table_identity(gt), table_identity(at)
-    a_inv = [table_inverse(at, x) for x in range(na)]
 
     points = list(itertools.product(range(ng), repeat=na))
     index = {x: i for i, x in enumerate(points)}

@@ -20,7 +20,7 @@ beyond that edge.
 
 from __future__ import annotations
 
-from .perm_groups import PermGroup, check_group_table, cyclic_table, table_identity, table_inverse
+from .perm_groups import PermGroup, check_group_table, cyclic_table
 from .portraits import GroupClass, TreeAut
 from .tree_core import V0, distance as word_distance, geodesic as word_geodesic, neighbor
 
@@ -36,11 +36,8 @@ class FreeProductTree:
     """
 
     def __init__(self, table_a, table_b):
-        self.tables = (check_group_table(table_a), check_group_table(table_b))
-        self.ident = (table_identity(self.tables[0]), table_identity(self.tables[1]))
-        self.inv = tuple(
-            [table_inverse(t, x) for x in range(len(t))] for t in self.tables
-        )
+        checked = check_group_table(table_a), check_group_table(table_b)
+        self.tables, self.ident, self.inv = zip(*checked)
         if len(self.tables[0]) < 2 or len(self.tables[1]) < 2:
             raise ValueError("both free factors must be nontrivial")
         self.root: BiVertex = (0, ())
@@ -359,27 +356,23 @@ class PiecewiseAut:
         return self == PiecewiseAut.identity(self.tree)
 
     def fixes_half_tree(self, edge) -> bool:
-        """Pointwise fixation of the half-tree given by (tail, head): subtree
-        vertices inside it must be fixed, and every piece whose component
-        meets it must be the identity.  A nonempty intersection of two
-        half-trees always contains an edge (and, at degree three or more, a
-        whole branch), and a global element fixing that much is trivial in
-        both models, so the identity requirement is exact."""
+        """Pointwise fixation of the half-tree given by (tail, head).
+
+        Over a subtree holding both ends of the edge, each component of the
+        complement is connected and misses the edge, so it lies inside the
+        half-tree iff the subtree vertex it hangs from does.  The half-tree
+        is then fixed iff its subtree vertices are fixed and every piece hung
+        from one of them fixes its whole component.  A component holds an
+        edge, and at degree three or more a vertex with its whole star; a
+        global element fixing that much is trivial in both models (edge
+        stabilizers of A * B are trivial, and a constant portrait is the
+        identity once it fixes a star), so such pieces must be the identity."""
         t = self.tree
-        for u in sorted(self.subtree):
-            if ht_contains(t, edge, u) and self.vmap[u] != u:
-                return False
-        for (u, n), g in self.pieces.items():
-            if ht_disjoint(t, (u, n), edge):
-                continue
-            if edge[1] == n and edge[0] != u and t.degree(n) == 2:
-                # a degree-two head meets the component in that vertex alone
-                if t.act(g, n) != n:
-                    return False
-                continue
-            if not t.is_identity_element(g):
-                return False
-        return True
+        p = self.expanded(edge)
+        inside = {u for u in p.subtree if ht_contains(t, edge, u)}
+        return all(p.vmap[u] == u for u in inside) and all(
+            t.is_identity_element(g) for (u, _), g in p.pieces.items() if u in inside
+        )
 
 
 def pw_half_tree_fixator(tree, g, v, n1, n2) -> PiecewiseAut:

@@ -141,6 +141,33 @@ def test_classify_serialized_witness_element(tmp_path, capsys):
     assert "member of G(F,F'): yes" in stdout
 
 
+def test_classify_writes_its_report_to_out(tmp_path, capsys):
+    argv = ["classify", "--preset", "g-alt3-sym3", "--element", "g3"]
+    _, printed, _ = run_cli(argv, capsys)
+    out = tmp_path / "report.txt"
+    code, stdout, _ = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 0
+    assert stdout == ""
+    assert out.read_text() == printed
+
+
+CLASSIFY = ["classify", "--preset", "g-alt3-sym3", "--element", "identity"]
+WITNESS = ["witness", "--preset", "g-alt3-sym3"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*CLASSIFY, "--word-length", "2"], [*CLASSIFY, "--depth", "8"], [*CLASSIFY, "--seed", "1"],
+    [*WITNESS, "--word-length", "2"], [*WITNESS, "--depth", "8"], [*WITNESS, "--seed", "1"],
+    ["orbit", "--preset", "g-alt3-sym3", "--seed", "1"],
+    ["verify", "cert.txt", "--out", "out.txt"],
+], ids=lambda a: f"{a[0]}{a[-2]}")
+def test_options_no_stage_reads_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_classify_bad_element_exits_2(capsys):
     code, _, err = run_cli(
         ["classify", "--preset", "g-alt3-sym3", "--element", "q9"], capsys
@@ -268,6 +295,16 @@ SYM3 = {"kind": "symmetric", "degree": 3}
                  id="degree-float"),
     pytest.param({"groups": {"F": {"kind": ["alternating"], "degree": 3}, "Fp": SYM3}},
                  'group spec kind must be a JSON string, got ["alternating"]', id="kind-list"),
+    pytest.param({"groups": {"F": {"kind": "listed", "perms": 5}, "Fp": SYM3}},
+                 "listed group spec perms must be a list of lists of JSON integers, got 5",
+                 id="perms-int"),
+    pytest.param({"groups": {"F": {"kind": "listed", "perms": [[0, 1, "x"]]}, "Fp": SYM3}},
+                 "listed group spec perms must be a list of lists of JSON integers, "
+                 'got [[0, 1, "x"]]', id="perms-string-entry"),
+    pytest.param({"wreath": {"gamma": 5, "a": [[0]]}},
+                 "group table must be a list of lists of JSON integers", id="wreath-gamma-int"),
+    pytest.param({"wreath": {"gamma": [[0, 1], [1, 0.0]], "a": [[0, 1], [1, 0]]}},
+                 "table entries must be integers indexing elements", id="wreath-float-entry"),
 ])
 def test_ill_typed_group_source_is_a_config_error(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
@@ -278,6 +315,21 @@ def test_ill_typed_group_source_is_a_config_error(tmp_path, capsys, command, con
     assert stdout == ""
     assert err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tables, message", [
+    pytest.param({"a": 5, "b": [[0]]}, "group table must be a list of lists of JSON integers",
+                 id="table-int"),
+    pytest.param({"a": [[0, 1], [1, 0]], "b": [[0, 1], [1, True]]},
+                 "table entries must be integers indexing elements", id="bool-entry"),
+])
+def test_ill_typed_free_product_table_is_a_config_error(tmp_path, capsys, tables, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"free_product": tables}))
+    code, stdout, err = run_cli(["witness", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
 
 
 def test_package_root_and_cli_leave_piecewise_unloaded():

@@ -133,13 +133,18 @@ def test_edge_inversion_moves_its_own_half_tree():
 
 
 def test_half_tree_fixation_agrees_with_ball_oracle():
+    # the last two edges, a co-cylinder and a cylinder with 4-letter tails,
+    # lie beyond every core; the radius-7 ball reaches two levels past them
     halves = [half_tree(V0, 0), half_tree((0,), 1), half_tree((1, 0), 2),
-              half_tree((0,), 0), half_tree((0, 1), 1)]
-    ball = sorted(enumerate_ball(V0, 5, range(3)))
+              half_tree((0,), 0), half_tree((0, 1), 1),
+              half_tree((0, 1, 0, 1), 1), half_tree((1, 0, 1, 0), 2)]
+    ball = sorted(enumerate_ball(V0, 7, range(3)))
     from arboreal.tree_core import half_tree_contains
 
-    for s in range(40):
-        g = random_element(G_CLASS, 2, seed=5000 + s)
+    for s in range(80):
+        # Sym(3) branch constants can fix an edge color without being trivial
+        cls = G_CLASS if s < 40 else GroupClass.unrestricted(3)
+        g = random_element(cls, 2, seed=5000 + s)
         for h in halves:
             decided = fixes_half_tree_pointwise(g, h)
             oracle = all(

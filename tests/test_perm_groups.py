@@ -116,9 +116,15 @@ def test_point_stabilizer_integer_family():
 
 
 def test_group_table_validation():
-    check_group_table(cyclic_table(4))
-    with pytest.raises(ValueError):
-        check_group_table([[0, 1], [1, 1]])
+    table, e, inv = check_group_table(cyclic_table(4))
+    assert table == tuple(map(tuple, cyclic_table(4)))
+    assert (e, inv) == (0, [0, 3, 2, 1])
+    # Z/3 with its identity at index 2: x * y = x + y + 1 mod 3
+    assert check_group_table([[(i + j + 1) % 3 for j in range(3)] for i in range(3)])[1:] == (
+        2, [1, 0, 2])
+    for bad in ([[0, 1], [1, 1]], 5, [5], [[0, 1], [1, "0"]], [[0, 1], [1, 0.0]]):
+        with pytest.raises(ValueError):
+            check_group_table(bad)
 
 
 def test_wreath_z2_z2():

@@ -227,6 +227,30 @@ def test_pw_compose_agrees_pointwise_on_balls():
         assert ((p * q) * q.inverse()) == p
 
 
+def test_pw_half_tree_fixation_agrees_with_ball_oracle():
+    # products of fixators at vb and at its conjugates under three movers,
+    # against `apply` over a radius-8 ball, on every edge within radius 3
+    t = psl2z_tree()
+    vb = (1, ())
+    a, b = t.letter(0, 1), t.letter(1, 1)
+    fixators = [pw_half_tree_fixator(t, b, vb, n, t.act(b, n)) for n in t.neighbors(vb)]
+    cat = []
+    for m in [(), a, t.multiply(a, b)]:
+        mover = PiecewiseAut.global_element(t, m)
+        cat += [mover * f * mover.inverse() for f in fixators]
+    rng = random.Random(11)
+    elements = cat + [rng.choice(cat) * rng.choice(cat) for _ in range(30)]
+    edges = [(u, n) for u in ball(t, t.root, 3) for n in t.neighbors(u)]
+    verts = ball(t, t.root, 8)
+    fixed = 0
+    for p in elements:
+        for edge in edges:
+            decided = p.fixes_half_tree(edge)
+            assert decided == all(p.apply(v) == v for v in verts if ht_contains(t, edge, v))
+            fixed += decided
+    assert 0 < fixed < len(elements) * len(edges)
+
+
 def test_pw_associativity_on_random_triples():
     t = psl2z_tree()
     rng = random.Random(13)
