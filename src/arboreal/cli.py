@@ -21,6 +21,7 @@ import sys
 from .cstar_obstruction import (
     build_certificate,
     fixator_witness,
+    group_source,
     normalize_config,
     orbit_truncate,
     resolve_groups,
@@ -31,7 +32,7 @@ from .cstar_obstruction import (
 from .dynamics import Elliptic, Inversion, classify_isometry
 from .perm_groups import point_stabilizer
 from .portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, require_key
-from .tree_core import V0, DirectedEdge, HalfTree, PeriodicEnd
+from .tree_core import V0, DirectedEdge, PeriodicEnd
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,9 +129,8 @@ def cmd_certify(args) -> int:
 
 def cmd_classify(args) -> int:
     config = _load_config(args)
-    F, Fp, deg, label = resolve_groups(config)
-    gens = standard_generators(F, deg)
-    g = _parse_element(args.element, gens, deg)
+    F, Fp, label = resolve_groups(config)
+    g = _parse_element(args.element, standard_generators(F), F.degree)
     cls = classify_isometry(g)
     if isinstance(cls, Elliptic):
         vname = "".join(map(str, cls.fixed_vertex)) or "v0"
@@ -153,8 +153,8 @@ def cmd_classify(args) -> int:
 
 def cmd_orbit(args) -> int:
     config = normalize_config(_load_config(args))
-    F, Fp, deg, label = resolve_groups(config)
-    gens = standard_generators(F, deg)
+    F, Fp, label = resolve_groups(config)
+    gens = standard_generators(F)
     xi = PeriodicEnd((), (0, 1))
     orbit = orbit_truncate(gens, xi, config["word_length"], config["depth"])
     print(f"group: {label}")
@@ -173,11 +173,12 @@ def cmd_orbit(args) -> int:
 
 def cmd_witness(args) -> int:
     config = _load_config(args)
-    if config.get("preset") == "pslz" or config.get("free_product"):
+    source = group_source(config)
+    if source == "free_product" or config.get("preset") == "pslz":
         # only this branch needs the piecewise module, so only it loads it
         from .piecewise import FreeProductTree, psl2z_tree, pw_half_tree_fixator
 
-        if config.get("free_product"):
+        if source == "free_product":
             tables = config["free_product"]
             tree = FreeProductTree(*(require_key(tables, k, "free_product") for k in "ab"))
         else:
@@ -197,9 +198,8 @@ def cmd_witness(args) -> int:
         third = next(n for n in tree.neighbors(v) if n not in (n1, tree.act(rotor, n1)))
         print(f"fixes the half-tree beyond {third}: {gamma.fixes_half_tree((v, third))}")
         return 0
-    F, Fp, deg, label = resolve_groups(config)
-    h = HalfTree(DirectedEdge(V0, 0))
-    g = fixator_witness(F, Fp, h)
+    F, Fp, label = resolve_groups(config)
+    g = fixator_witness(F, Fp, DirectedEdge(V0, 0))
     stab = point_stabilizer(Fp, 0)
     print(f"group: {label}")
     print(f"witness fixing the half-tree at edge (v0, color 0); stabilizer reason: "

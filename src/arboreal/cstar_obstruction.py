@@ -41,7 +41,6 @@ from .portraits import (
 from .tree_core import (
     V0,
     DirectedEdge,
-    HalfTree,
     PeriodicEnd,
     enumerate_ball,
     neighbor,
@@ -58,9 +57,7 @@ def _require_admissible_pair(F: PermGroup, Fp: PermGroup):
         raise ValueError("F must act freely on the color set")
     if not check_orbit_preservation(F, Fp):
         raise ValueError("F' must preserve the orbits of F")
-    if F.kind == "finite" and len(F.elements) == len(Fp.elements):
-        raise ValueError("F must be a proper subgroup of F'")
-    if F.kind != "finite" and F.kind == Fp.kind:
+    if F.contains_group(Fp):  # F <= F' holds once the orbit check has passed
         raise ValueError("F must be a proper subgroup of F'")
 
 
@@ -76,8 +73,8 @@ def _matching_f_element(F: PermGroup, b: int, target: int) -> Perm:
     raise ValueError(f"unsupported F kind {F.kind!r}")
 
 
-def fixator_witness(F: PermGroup, Fp: PermGroup, h: HalfTree, sigma: Perm | None = None) -> TreeAut:
-    """A nontrivial automorphism fixing the half-tree pointwise.
+def fixator_witness(F: PermGroup, Fp: PermGroup, h: DirectedEdge, sigma: Perm | None = None) -> TreeAut:
+    """A nontrivial automorphism fixing the half-tree beyond the edge h pointwise.
 
     The local action is the identity throughout the half-tree, a nontrivial
     stabilizer element sigma of the edge color at the facing vertex, and on
@@ -127,8 +124,8 @@ def disjoint_support_pair(F: PermGroup, Fp: PermGroup, e: DirectedEdge) -> tuple
     """Nontrivial fixators of the two half-trees at e: the first fixes the
     tail side (so its support lies in the head side), the second the reverse.
     Disjointly supported automorphisms commute."""
-    a = fixator_witness(F, Fp, HalfTree(e.reversed()))
-    b = fixator_witness(F, Fp, HalfTree(e))
+    a = fixator_witness(F, Fp, e.reversed())
+    b = fixator_witness(F, Fp, e)
     return a, b
 
 
@@ -273,7 +270,7 @@ class FiltrationReport:
     details: dict
 
 
-def fixator_filtration_check(F: PermGroup, Fp: PermGroup, h: HalfTree, level: int) -> FiltrationReport:
+def fixator_filtration_check(F: PermGroup, Fp: PermGroup, h: DirectedEdge, level: int) -> FiltrationReport:
     """Check the bottom of the filtration of half-tree fixators by how far
     out their local actions leave F.
 
@@ -333,23 +330,31 @@ def _json_typed(value, kind: type, what: str):
     return value
 
 
-def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, int | None, str]:
-    """Resolve the (F, F') pair named by a config: a preset name, an explicit
-    finite pair, or wreath parameters.  Exactly one source must be given."""
-    sources = [k for k in ("preset", "groups", "wreath") if config.get(k)]
+def group_source(config: dict) -> str:
+    """The one group source a config names: preset, groups, wreath, or the
+    free-product tables that only `witness` reads."""
+    sources = [k for k in ("preset", "groups", "wreath", "free_product") if config.get(k)]
     if len(sources) != 1:
         raise ValueError(f"exactly one group source required, got {sources or 'none'}")
-    if config.get("preset"):
+    return sources[0]
+
+
+def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, str]:
+    """Resolve the (F, F') pair named by a config: a preset name, an explicit
+    finite pair, or wreath parameters.  Exactly one source must be given."""
+    source = group_source(config)
+    if source == "free_product":
+        raise ValueError("free_product tables name a free-product tree, not an (F, F') pair")
+    if source == "preset":
         name = _json_typed(config["preset"], str, "preset")
         if name == "g-alt3-sym3":
-            return PermGroup.alternating(3), PermGroup.symmetric(3), 3, "G(Alt(3), Sym(3))"
+            return PermGroup.alternating(3), PermGroup.symmetric(3), "G(Alt(3), Sym(3))"
         if name == "g-cycle5-alt5":
-            return PermGroup.cyclic(5), PermGroup.alternating(5), 5, "G(C5, Alt(5))"
+            return PermGroup.cyclic(5), PermGroup.alternating(5), "G(C5, Alt(5))"
         if name == "z-translations":
             return (
                 PermGroup.z_translations(),
                 PermGroup.z_finitary_affine(),
-                None,
                 "G(translations, finitary-affine) on integer colors",
             )
         if name.startswith("wreath-z"):
@@ -357,19 +362,18 @@ def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, int | None, str]
                 n, m = (int(s[1:]) for s in name[len("wreath-") :].split("-"))
             except Exception as exc:
                 raise ValueError(f"bad wreath preset {name!r}") from exc
-            F, Fp, points, _ = wreath_embedding(cyclic_table(n), cyclic_table(m))
-            return F, Fp, len(points), f"G(Z/{n}^(Z/{m}), Z/{n} wr Z/{m})"
+            F, Fp, _, _ = wreath_embedding(cyclic_table(n), cyclic_table(m))
+            return F, Fp, f"G(Z/{n}^(Z/{m}), Z/{n} wr Z/{m})"
         raise ValueError(f"unknown preset {name!r}")
-    if config.get("groups"):
+    if source == "groups":
         spec = config["groups"]
         F = _group_from_spec(require_key(spec, "F", "groups"))
         Fp = _group_from_spec(require_key(spec, "Fp", "groups"))
-        deg = F.degree
-        return F, Fp, deg, spec.get("label", "G(F, F')")
+        return F, Fp, spec.get("label", "G(F, F')")
     wreath = config["wreath"]
     gamma, a = require_key(wreath, "gamma", "wreath"), require_key(wreath, "a", "wreath")
-    F, Fp, points, _ = wreath_embedding(gamma, a)
-    return F, Fp, len(points), "G(wreath pair)"
+    F, Fp, _, _ = wreath_embedding(gamma, a)
+    return F, Fp, "G(wreath pair)"
 
 
 def _group_from_spec(spec) -> PermGroup:
@@ -394,7 +398,7 @@ def _group_from_spec(spec) -> PermGroup:
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def standard_generators(F: PermGroup, deg: int | None) -> list[TreeAut]:
+def standard_generators(F: PermGroup) -> list[TreeAut]:
     """A deterministic generating set for the universal group of F: constant
     portraits at the base vertex plus two rigid motions."""
     gens: list[TreeAut] = []
@@ -402,7 +406,7 @@ def standard_generators(F: PermGroup, deg: int | None) -> list[TreeAut]:
         gens += [TreeAut.from_constant(p, V0) for p in F.elements if not p.is_identity()]
     else:
         gens.append(TreeAut.from_constant(Perm.z_translation(1), V0))
-    ident = Perm.identity(deg)
+    ident = Perm.identity(F.degree)
     gens.append(TreeAut.from_constant(ident, (0,)))
     gens.append(TreeAut.from_constant(ident, (0, 1)))
     return gens
@@ -459,7 +463,7 @@ def build_certificate(config: dict) -> Certificate:
     cert = Certificate(
         config=cfg, group={}, edge={}, witness_a=None, witness_b=None, orbit=None, checks={}
     )
-    F, Fp, deg, label = resolve_groups(cfg)
+    F, Fp, label = resolve_groups(cfg)
     edge = DirectedEdge(V0, 0)
     stab_reason = None
     try:
@@ -468,14 +472,14 @@ def build_certificate(config: dict) -> Certificate:
         stab_reason = "unavailable"
     cert.group = {
         "label": label,
-        "omega": deg if deg is not None else "Z",
+        "omega": "Z" if F.degree is None else F.degree,
         "F": F.describe(),
         "Fp": Fp.describe(),
         "edge_stabilizer_amenability": stab_reason,
     }
     cert.edge = {"tail": list(edge.tail), "color": edge.color}
 
-    gens = standard_generators(F, deg)
+    gens = standard_generators(F)
     witness = general_type_witness(gens, cfg["search_len"])
     cert.checks["general_type"] = {
         "found": witness is not None,
@@ -494,8 +498,8 @@ def build_certificate(config: dict) -> Certificate:
     cert.witness_a = aut_to_data(a)
     cert.witness_b = aut_to_data(b)
 
-    fix_a = fixes_half_tree_pointwise(a, HalfTree(edge.reversed()))
-    fix_b = fixes_half_tree_pointwise(b, HalfTree(edge))
+    fix_a = fixes_half_tree_pointwise(a, edge.reversed())
+    fix_b = fixes_half_tree_pointwise(b, edge)
     cert.checks["half_tree_fixation"] = {"a_fixes_tail_side": fix_a, "b_fixes_head_side": fix_b}
     if not (fix_a and fix_b):
         cert.status = "INVALID:half_tree_fixation"

@@ -17,7 +17,6 @@ from .portraits import TreeAut
 from .tree_core import (
     V0,
     DirectedEdge,
-    HalfTree,
     Vertex,
     distance,
     geodesic,
@@ -101,8 +100,8 @@ def axis_and_ends(g: TreeAut, depth: int) -> tuple[Vertex, Vertex]:
 # -- pointwise fixation of half-trees ----------------------------------------
 
 
-def fixes_half_tree_pointwise(g: TreeAut, h: HalfTree) -> bool:
-    """True iff g fixes every vertex of the half-tree h.
+def fixes_half_tree_pointwise(g: TreeAut, h: DirectedEdge) -> bool:
+    """True iff g fixes every vertex of the half-tree beyond the edge h.
 
     Criterion: g fixes h pointwise iff g fixes the head of h and its local
     action is the identity at every vertex of h.  If so, g(neighbor(v, c)) =
@@ -217,7 +216,7 @@ class FreeGroupCertificate:
     group of rank two."""
 
     power: int
-    half_trees: tuple[HalfTree, HalfTree, HalfTree, HalfTree]  # h1+, h1-, h2+, h2-
+    half_trees: tuple[DirectedEdge, DirectedEdge, DirectedEdge, DirectedEdge]  # h1+, h1-, h2+, h2-
     inclusions: tuple[str, ...] = field(default=())
     end_depth: int = 0
 
@@ -232,14 +231,13 @@ class FreeGroupCertificate:
         }
 
 
-def _image_half_tree(t: TreeAut, h: HalfTree) -> HalfTree:
-    e = h.edge
-    return HalfTree(DirectedEdge(t.evaluate(e.tail), t.local_action(e.tail)(e.color)))
+def _image_half_tree(t: TreeAut, h: DirectedEdge) -> DirectedEdge:
+    return DirectedEdge(t.evaluate(h.tail), t.local_action(h.tail)(h.color))
 
 
-def _maps_complement_into(t: TreeAut, h_from: HalfTree, h_to: HalfTree) -> bool:
+def _maps_complement_into(t: TreeAut, h_from: DirectedEdge, h_to: DirectedEdge) -> bool:
     """Check t(T minus h_from) is inside h_to, exactly, on half-tree edges."""
-    return half_tree_subset(_image_half_tree(t, h_from.opposite()), h_to)
+    return half_tree_subset(_image_half_tree(t, h_from.reversed()), h_to)
 
 
 def ping_pong_certificate(g1: TreeAut, g2: TreeAut, power: int):
@@ -262,8 +260,8 @@ def ping_pong_certificate(g1: TreeAut, g2: TreeAut, power: int):
     t2 = g2**power
     t1i, t2i = t1.inverse(), t2.inverse()
 
-    def edge_at(ray: Vertex, r: int) -> HalfTree:
-        return HalfTree(DirectedEdge(ray[: r - 1], ray[r - 1]))
+    def edge_at(ray: Vertex, r: int) -> DirectedEdge:
+        return DirectedEdge(ray[: r - 1], ray[r - 1])
 
     radii = itertools.product(range(1, reach + 1), repeat=4)
     for rs in sorted(radii, key=lambda rs: (sum(rs), rs)):

@@ -484,9 +484,8 @@ def wreath_embedding(gamma_table, a_table):
     embed = {g: as_perm(delta(g), ae) for g in range(ng)}
 
     npts = len(points)
-    for p in F.elements:
-        if not p.is_identity() and any(p(x) == x for x in range(npts)):
-            raise AssertionError("base group does not act freely")
+    if not check_freeness(F):
+        raise AssertionError("base group does not act freely")
     x0 = index[tuple(ge for _ in range(na))]
     if {p(x0) for p in F.elements} != set(range(npts)):
         raise AssertionError("base group is not transitive")

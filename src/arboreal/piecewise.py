@@ -49,17 +49,6 @@ class FreeProductTree:
             return ()
         return ((side, idx),)
 
-    def check_word(self, w) -> Word:
-        w = tuple((int(s), int(i)) for s, i in w)
-        for k, (s, i) in enumerate(w):
-            if s not in (0, 1) or not 0 <= i < len(self.tables[s]):
-                raise ValueError(f"bad letter {(s, i)}")
-            if i == self.ident[s]:
-                raise ValueError("identity letters are not allowed in normal forms")
-            if k and w[k - 1][0] == s:
-                raise ValueError("letters must alternate sides")
-        return w
-
     def multiply(self, w1: Word, w2: Word) -> Word:
         out = list(w1)
         for s, i in w2:
@@ -86,12 +75,6 @@ class FreeProductTree:
         return g == ()
 
     # -- vertices -----------------------------------------------------------
-
-    def vertex(self, side: int, word) -> BiVertex:
-        w = self.check_word(word)
-        if w and w[-1][0] == side:
-            raise ValueError("coset representative must not end with its own side")
-        return (side, w)
 
     def act(self, g: Word, v: BiVertex) -> BiVertex:
         side, w = v

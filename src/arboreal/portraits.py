@@ -368,7 +368,7 @@ class TreeAut:
 class GroupClass:
     """Which prescribed-local-action group an element is tested against.
 
-    kind "U":  local action in F at every vertex.
+    kind "U":  local action in F at every vertex (tested as "G" with F' = F).
     kind "G":  local action in F' everywhere, in F at all but finitely many.
     kind "G*": as "G", restricted to the bipartition-preserving subgroup.
     kind "any": no restriction beyond the tree degree.
@@ -406,10 +406,6 @@ class GroupClass:
             return True
         c = g.canonical()
         tails = list(c.branches.values()) + list(c.defaults.values())
-        if self.kind == "U":
-            return all(self.F.contains(p) for p in c.core.values()) and all(
-                self.F.contains(f) for f in tails
-            )
         ok = all(self.Fp.contains(p) for p in c.core.values()) and all(
             self.F.contains(f) for f in tails
         )
@@ -417,10 +413,6 @@ class GroupClass:
             # bipartition preserved iff the base vertex moves an even distance
             ok = ok and len(c.base) % 2 == 0
         return ok
-
-    def label(self) -> str:
-        names = {"U": "U(F)", "G": "G(F,F')", "G*": "G(F,F')*", "any": "Aut(T)"}
-        return names[self.kind]
 
 
 # -- random and exhaustive element generation --------------------------------

@@ -99,7 +99,11 @@ def enumerate_ball(v: Vertex, r: int, window: Iterable[int]) -> set[Vertex]:
 
 @dataclass(frozen=True)
 class DirectedEdge:
-    """The edge of the given color at the tail vertex, oriented tail -> head."""
+    """The edge of the given color at the tail vertex, oriented tail -> head.
+
+    It names the half-tree beyond it, the component of the tree minus the
+    edge that contains the head; the reversed edge names the complement.
+    """
 
     tail: Vertex
     color: int
@@ -108,46 +112,24 @@ class DirectedEdge:
     def head(self) -> Vertex:
         return neighbor(self.tail, self.color)
 
-    def reversed(self) -> "DirectedEdge":
-        return DirectedEdge(self.head, self.color)
-
-
-@dataclass(frozen=True)
-class HalfTree:
-    """The component of the tree minus an edge that contains the edge's head."""
-
-    edge: DirectedEdge
-
-    @property
-    def tail(self) -> Vertex:
-        return self.edge.tail
-
-    @property
-    def color(self) -> int:
-        return self.edge.color
-
-    @property
-    def head(self) -> Vertex:
-        return self.edge.head
-
     @property
     def is_cylinder(self) -> bool:
         """True when the head extends the tail, so membership is a prefix test."""
         return len(self.head) > len(self.tail)
 
-    def opposite(self) -> "HalfTree":
-        return HalfTree(self.edge.reversed())
+    def reversed(self) -> "DirectedEdge":
+        return DirectedEdge(self.head, self.color)
 
 
-def half_tree(tail: Iterable[int], color: int) -> HalfTree:
-    return HalfTree(DirectedEdge(check_vertex(tail), color))
+def half_tree(tail: Iterable[int], color: int) -> DirectedEdge:
+    return DirectedEdge(check_vertex(tail), color)
 
 
 def is_prefix(p: Vertex, w: Vertex) -> bool:
     return len(p) <= len(w) and w[: len(p)] == p
 
 
-def half_tree_contains(h: HalfTree, x) -> bool:
+def half_tree_contains(h: DirectedEdge, x) -> bool:
     """Membership of a vertex or end in a half-tree, decided from a prefix.
 
     When the head extends the tail the half-tree is the set of words having
@@ -164,20 +146,20 @@ def half_tree_contains(h: HalfTree, x) -> bool:
     return not is_prefix(h.tail, word)
 
 
-def half_trees_disjoint(h1: HalfTree, h2: HalfTree) -> bool:
+def half_trees_disjoint(h1: DirectedEdge, h2: DirectedEdge) -> bool:
     """Exact disjointness test on vertex sets."""
-    if h1.edge == h2.edge:
+    if h1 == h2:
         return False
-    if h1.edge == h2.edge.reversed():
+    if h1 == h2.reversed():
         return True
     return not half_tree_contains(h2, h1.head) and not half_tree_contains(h1, h2.head)
 
 
-def half_tree_subset(h1: HalfTree, h2: HalfTree) -> bool:
+def half_tree_subset(h1: DirectedEdge, h2: DirectedEdge) -> bool:
     """Exact test for h1 being contained in h2."""
-    if h1.edge == h2.edge:
+    if h1 == h2:
         return True
-    if h1.edge == h2.edge.reversed():
+    if h1 == h2.reversed():
         return False
     return not half_tree_contains(h1, h2.tail) and half_tree_contains(h2, h1.head)
 

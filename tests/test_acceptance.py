@@ -140,7 +140,7 @@ def test_criterion_5_convolution_identity():
     with Criterion(5, "disjoint support and convolution annihilation on the orbit", 60):
         edge = DirectedEdge(V0, 0)
         a, b = disjoint_support_pair(ALT3, SYM3, edge)
-        gens = [a, b] + standard_generators(ALT3, 3)
+        gens = [a, b] + standard_generators(ALT3)
         xi = PeriodicEnd((), (0, 1))
         orbit = orbit_truncate(gens, xi, 3, 16)
         assert not orbit.depth_warning

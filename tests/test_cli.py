@@ -204,6 +204,23 @@ def test_witness_free_product_tables_config(tmp_path, capsys):
     assert "valid: True" in stdout
 
 
+@pytest.mark.parametrize("config, sources", [
+    pytest.param({"preset": "g-alt3-sym3",
+                  "free_product": {"a": [[0, 1], [1, 0]],
+                                   "b": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}},
+                 ["preset", "free_product"], id="preset-and-free-product"),
+    pytest.param({"preset": "pslz", "wreath": {"gamma": [[0, 1], [1, 0]], "a": [[0, 1], [1, 0]]}},
+                 ["preset", "wreath"], id="pslz-and-wreath"),
+])
+def test_witness_rejects_two_group_sources(tmp_path, capsys, config, sources):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, stdout, err = run_cli(["witness", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: exactly one group source required, got {sources}\n"
+
+
 def test_witness_degree_two_free_product_exits_2(tmp_path, capsys):
     cfg = tmp_path / "fp22.json"
     cfg.write_text(json.dumps({

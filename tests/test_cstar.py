@@ -22,7 +22,7 @@ from arboreal.cstar_obstruction import (
 from arboreal.dynamics import fixes_half_tree_pointwise
 from arboreal.perm_groups import Perm, PermGroup
 from arboreal.portraits import GroupClass, TreeAut, aut_from_data, end_image_prefix
-from arboreal.tree_core import V0, DirectedEdge, HalfTree, PeriodicEnd, half_tree
+from arboreal.tree_core import V0, DirectedEdge, PeriodicEnd, half_tree
 
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
@@ -53,13 +53,15 @@ def test_fixator_witness_on_deeper_half_trees():
 
 
 def test_fixator_witness_rejects_degenerate_pairs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="proper subgroup"):
         fixator_witness(ALT3, ALT3, half_tree(V0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="act freely"):
         fixator_witness(SYM3, SYM3, half_tree(V0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="act freely"):
         # Sym(3) does not act freely
         fixator_witness(SYM3, PermGroup.symmetric(3), half_tree(V0, 0))
+    with pytest.raises(ValueError, match="proper subgroup"):
+        fixator_witness(PermGroup.z_translations(), PermGroup.z_translations(), half_tree(V0, 0))
 
 
 def test_fixator_witness_over_integer_colors():
@@ -78,8 +80,8 @@ def test_disjoint_support_pair_commutes_and_separates():
     a, b = disjoint_support_pair(ALT3, SYM3, e)
     assert not a.is_identity() and not b.is_identity()
     # support separation: each fixes the other's half-tree pointwise
-    assert fixes_half_tree_pointwise(a, HalfTree(e.reversed()))
-    assert fixes_half_tree_pointwise(b, HalfTree(e))
+    assert fixes_half_tree_pointwise(a, e.reversed())
+    assert fixes_half_tree_pointwise(b, e)
     assert a * b == b * a
 
 
@@ -114,7 +116,7 @@ def test_orbit_truncation_matches_independent_enumerator():
     cases = [gens]
     for F, Fp in [(ALT3, SYM3), (PermGroup.z_translations(), PermGroup.z_finitary_affine())]:
         a, b = disjoint_support_pair(F, Fp, DirectedEdge(V0, 0))
-        cases.append([a, b] + standard_generators(F, F.degree))
+        cases.append([a, b] + standard_generators(F))
     # a shallow depth makes many words collide, so the labels test the
     # pruning lengths, not only the point set
     for gens in cases:
@@ -137,7 +139,7 @@ def test_orbit_truncation_trivial_cases():
     gens = [TreeAut.identity(3)]
     orbit = orbit_truncate(gens, xi, 4, 12)
     assert len(orbit.points) == 1
-    orbit0 = orbit_truncate(standard_generators(ALT3, 3), xi, 0, 12)
+    orbit0 = orbit_truncate(standard_generators(ALT3), xi, 0, 12)
     assert len(orbit0.points) == 1
 
 
@@ -150,7 +152,7 @@ def test_orbit_truncation_depth_warning():
 def test_disjoint_support_and_annihilation_full_pipeline():
     e = DirectedEdge(V0, 0)
     a, b = disjoint_support_pair(ALT3, SYM3, e)
-    gens = [a, b] + standard_generators(ALT3, 3)
+    gens = [a, b] + standard_generators(ALT3)
     xi = PeriodicEnd((), (0, 1))
     orbit = orbit_truncate(gens, xi, 3, 16)
     assert len(orbit.points) > 10
@@ -162,7 +164,7 @@ def test_disjoint_support_and_annihilation_full_pipeline():
 def test_disjoint_support_check_detects_overlap():
     e = DirectedEdge(V0, 0)
     a, _ = disjoint_support_pair(ALT3, SYM3, e)
-    gens = [a] + standard_generators(ALT3, 3)
+    gens = [a] + standard_generators(ALT3)
     orbit = orbit_truncate(gens, PeriodicEnd((), (0, 1)), 2, 14)
     # the same element on both sides moves some orbit point twice
     assert not disjoint_support_check(a, a, orbit)
@@ -173,7 +175,7 @@ def test_disjoint_support_check_detects_overlap():
 def test_orbit_checks_refuse_witnesses_beyond_the_margin():
     e = DirectedEdge(V0, 0)
     a, b = disjoint_support_pair(ALT3, SYM3, e)
-    orbit = orbit_truncate([a, b] + standard_generators(ALT3, 3), PeriodicEnd((), (0, 1)), 2, 12)
+    orbit = orbit_truncate([a, b] + standard_generators(ALT3), PeriodicEnd((), (0, 1)), 2, 12)
     assert orbit.margin == 2
     # displacement 3 exceeds the margin the rays were carried for; the rays
     # happen to be long enough here, and the checks refuse it all the same
@@ -205,10 +207,10 @@ def test_filtration_rejects_level_2():
 
 
 def test_resolve_groups_sources():
-    F, Fp, deg, _ = resolve_groups({"preset": "g-alt3-sym3"})
-    assert deg == 3 and len(F.elements) == 3 and len(Fp.elements) == 6
-    F, Fp, deg, _ = resolve_groups({"preset": "wreath-z2-z2"})
-    assert deg == 4 and len(Fp.elements) == 8
+    F, Fp, _ = resolve_groups({"preset": "g-alt3-sym3"})
+    assert F.degree == 3 and len(F.elements) == 3 and len(Fp.elements) == 6
+    F, Fp, _ = resolve_groups({"preset": "wreath-z2-z2"})
+    assert F.degree == 4 and len(Fp.elements) == 8
     with pytest.raises(ValueError):
         resolve_groups({})
     with pytest.raises(ValueError):
@@ -298,8 +300,8 @@ def test_disjoint_pair_on_all_finite_presets():
         e = DirectedEdge(V0, 0)
         a, b = disjoint_support_pair(F, Fp, e)
         assert a * b == b * a
-        assert fixes_half_tree_pointwise(a, HalfTree(e.reversed()))
-        assert fixes_half_tree_pointwise(b, HalfTree(e))
+        assert fixes_half_tree_pointwise(a, e.reversed())
+        assert fixes_half_tree_pointwise(b, e)
 
 
 def test_integer_color_compose_matches_pointwise_on_window_ball():

@@ -123,7 +123,7 @@ def test_identity_fixes_every_half_tree():
     e = TreeAut.identity(3)
     for h in [half_tree(V0, 0), half_tree((0, 1), 2), half_tree((1,), 1)]:
         assert fixes_half_tree_pointwise(e, h)
-        assert fixes_half_tree_pointwise(e, h.opposite())
+        assert fixes_half_tree_pointwise(e, h.reversed())
 
 
 def test_edge_inversion_moves_its_own_half_tree():
@@ -178,7 +178,7 @@ def exhaustive_products(gens, max_len):
 
 @pytest.mark.parametrize("F", [ALT3, PermGroup.z_translations()], ids=["alt3", "z-translations"])
 def test_pruned_products_match_exhaustive_bfs(F):
-    gens = standard_generators(F, F.degree)
+    gens = standard_generators(F)
     pruned = [(w, el.key()) for w, el in enumerate_products(gens, 3)]
     assert pruned == [(w, el.key()) for w, el in exhaustive_products(gens, 3)]
 
@@ -229,8 +229,8 @@ def generator_set(name):
         return [TreeAut.from_constant(IDENT3, (0, 1))] + fix
     if name == "elliptic":
         return [TreeAut.from_constant(ROT, V0)]
-    F, _, deg, _ = resolve_groups({"preset": name})
-    return standard_generators(F, deg)
+    F, _, _ = resolve_groups({"preset": name})
+    return standard_generators(F)
 
 
 def keys(pair):

@@ -126,8 +126,8 @@ def test_group_laws(data):
 def _generator_products(preset: str):
     """Products of one to four standard generators of the preset and their
     inverses."""
-    F, _, deg, _ = resolve_groups({"preset": preset})
-    gens = standard_generators(F, deg)
+    F, _, _ = resolve_groups({"preset": preset})
+    gens = standard_generators(F)
     letters = gens + [g.inverse() for g in gens]
     return st.lists(st.sampled_from(letters), min_size=1, max_size=4).map(_product)
 

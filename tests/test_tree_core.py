@@ -5,7 +5,6 @@ import pytest
 from arboreal.tree_core import (
     V0,
     DirectedEdge,
-    HalfTree,
     PeriodicEnd,
     distance,
     enumerate_ball,
@@ -102,14 +101,14 @@ def test_half_tree_membership_on_periodic_end():
     h = half_tree(V0, 0)
     xi = PeriodicEnd((), (0, 1))
     assert half_tree_contains(h, xi)
-    assert not half_tree_contains(h.opposite(), xi)
+    assert not half_tree_contains(h.reversed(), xi)
 
 
 def test_half_trees_partition_every_ball_vertex():
     edges = [DirectedEdge(V0, 0), DirectedEdge((0,), 1), DirectedEdge((1, 2), 0)]
     ball = enumerate_ball(V0, 3, range(3))
     for e in edges:
-        h, ho = HalfTree(e), HalfTree(e).opposite()
+        h, ho = e, e.reversed()
         for v in ball:
             assert half_tree_contains(h, v) != half_tree_contains(ho, v)
 
@@ -122,7 +121,7 @@ def test_half_tree_subset_and_disjoint():
     assert not half_tree_subset(p0, p01)
     assert half_trees_disjoint(p0, p1)
     assert not half_trees_disjoint(p0, p01)
-    assert half_trees_disjoint(p0, p0.opposite())
+    assert half_trees_disjoint(p0, p0.reversed())
     assert half_tree_subset(p0, p0)
     # co-cylinder relations
     c0 = half_tree((0,), 0)  # contains V0, excludes the 0-branch
