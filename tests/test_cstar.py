@@ -217,6 +217,8 @@ def test_resolve_groups_sources():
         resolve_groups({"preset": "g-alt3-sym3", "wreath": {"gamma": [[0]], "a": [[0]]}})
     with pytest.raises(ValueError):
         resolve_groups({"preset": "no-such"})
+    with pytest.raises(ValueError, match="not an \\(F, F'\\) pair"):
+        resolve_groups({"free_product": {"a": [[0, 1], [1, 0]], "b": [[0, 1], [1, 0]]}})
 
 
 def test_build_certificate_valid_for_alt3_sym3():
