@@ -18,7 +18,7 @@ groups.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .dynamics import fixes_half_tree_pointwise, general_type_witness
 from .perm_groups import (
@@ -162,15 +162,21 @@ def orbit_truncate(
     k-1, and each letter costs at most `margin` exact letters.  Two words of
     length <= k whose rays agree on depth + (L-k) * margin letters reach the
     same depth prefix under every extension to length L, so only the first
-    of them is kept.  Deduplication is ray-prefix equality at the stated
-    depth, so the point count is a lower bound for the true orbit; a depth
-    below the recorded heuristic bound only raises a warning flag.
+    of them is kept.  A letter equal, as an element, to an earlier letter or
+    to the identity is skipped: its rays are those of the earlier letter, or
+    of the previous layer, all of them already seen.  Deduplication is
+    ray-prefix equality at the stated depth, so the point count is a lower
+    bound for the true orbit; a depth below the recorded heuristic bound only
+    raises a warning flag.
     """
     if not gens:
         raise ValueError("need at least one generator")
-    alphabet: list[TreeAut] = []
-    for g in gens:
-        alphabet += [g, g.inverse()]
+    letters: list[tuple[int, TreeAut]] = []
+    elements = {TreeAut.identity(gens[0].deg)}
+    for i, a in enumerate(a for g in gens for a in (g, g.inverse())):
+        if a not in elements:
+            elements.add(a)
+            letters.append((i, a))
     margin = max(len(g.base) for g in gens)
     bound = 2 * word_length * margin + len(xi.prefix) + len(xi.period)
     layer = [((), xi.ray_prefix(depth + (word_length + 2) * margin))]
@@ -180,7 +186,7 @@ def orbit_truncate(
         dedup = depth + (word_length - k) * margin
         seen = {ray[:dedup] for _, ray in kept}
         nxt = []
-        for i, a in enumerate(alphabet):
+        for i, a in letters:
             for word, ray in layer:
                 img = image_prefix(a, ray, carried)
                 key = img[:dedup]
@@ -429,7 +435,8 @@ class Certificate:
     status: str = "VALID"
 
     def to_dict(self) -> dict:
-        return {"version": CERT_VERSION, **asdict(self)}
+        # the field values themselves, not copies: callers only read them
+        return {"version": CERT_VERSION, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 # the integer bounds of a config and their defaults
@@ -442,6 +449,7 @@ def normalize_config(config: dict) -> dict:
     or a string), is bad input: a ValueError."""
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {json.dumps(config, default=repr)}")
+    group_source(config)  # on the raw config: the copy below drops free_product
     out = {key: config.get(key) for key in ("preset", "groups", "wreath")}
     for key, default in _BOUND_DEFAULTS.items():
         out[key] = _json_typed(config.get(key, default), int, key)

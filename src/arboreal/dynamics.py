@@ -137,24 +137,27 @@ def enumerate_products(gens: list[TreeAut], max_len: int):
 
     Only those first words are extended: the first word of an element has as
     its prefix the first word of that prefix's element, so extending any
-    other word could never yield."""
+    other word could never yield.  From layer 2 on they are extended only by
+    the layer-1 elements, each distinct nontrivial letter at its first index:
+    a letter equal to an earlier one, or to the identity, only gives products
+    that the earlier letter, or the word itself, has already given."""
     if not gens:
         raise ValueError("need at least one generator")
     deg = gens[0].deg
-    alphabet: list[TreeAut] = []
-    for g in gens:
-        alphabet += [g, g.inverse()]
+    letters = list(enumerate(a for g in gens for a in (g, g.inverse())))
     seen = {TreeAut.identity(deg).key()}
     layer: list[tuple[tuple[int, ...], TreeAut]] = [((), TreeAut.identity(deg))]
-    for _ in range(max_len):
+    for n in range(max_len):
         nxt = []
         for word, el in layer:
-            for i, a in enumerate(alphabet):
+            for i, a in letters:
                 el2 = el * a
                 if el2.key() not in seen:
                     seen.add(el2.key())
                     nxt.append((word + (i,), el2))
                     yield word + (i,), el2
+        if n == 0:
+            letters = [(i, a) for (i,), a in nxt]
         layer = nxt
 
 

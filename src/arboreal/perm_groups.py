@@ -221,14 +221,14 @@ class PermGroup:
             d = els[0].degree
             if d is None or any(p.degree != d for p in els):
                 raise ValueError("finite groups need a common finite degree")
-            keys = {p.key() for p in els}
-            if Perm.identity(d).key() not in keys:
+            tables = {p.table for p in els}
+            if tuple(range(d)) not in tables:
                 raise ValueError("identity missing")
             for p in els:
-                if p.inv().key() not in keys:
+                if p.inv().table not in tables:
                     raise ValueError(f"inverse of {p} missing")
                 for q in els:
-                    if (p * q).key() not in keys:
+                    if tuple(map(p.table.__getitem__, q.table)) not in tables:
                         raise ValueError(f"product {p}*{q} escapes the list")
             self.elements = tuple(els)
             self.degree = d

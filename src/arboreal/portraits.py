@@ -63,11 +63,13 @@ class TreeAut:
     deg       -- finite degree, or None for integer colors.
 
     `frontier_rule(u, c)` reads the branch rules at u the same way on both
-    color sets.  Instances are immutable.  Equality and hashing go through
-    the canonical (minimal-core) form.
+    color sets.  Instances are immutable, so each computes its canonical
+    form, inverse and key at most once and keeps them (`_canon`, `_inv`,
+    `_key`).  Equality and hashing go through the canonical (minimal-core)
+    form.
     """
 
-    __slots__ = ("deg", "base", "core", "branches", "defaults", "_canon")
+    __slots__ = ("deg", "base", "core", "branches", "defaults", "_canon", "_inv", "_key")
 
     def __init__(self, base, core, branches=None, defaults=None, deg=None):
         self.deg = deg
@@ -89,7 +91,7 @@ class TreeAut:
             self.branches = {
                 (u, c): f for (u, c), f in self.branches.items() if f != self.defaults.get(u, f)
             }
-        self._canon = None
+        self._canon = self._inv = self._key = None
         self._validate()
 
     # -- structure helpers ---------------------------------------------------
@@ -280,52 +282,70 @@ class TreeAut:
     # -- group operations -----------------------------------------------------
 
     def __mul__(self, other: "TreeAut") -> "TreeAut":
-        """Composition (g * h)(v) = g(h(v)), returned in canonical form."""
+        """Composition (g * h)(v) = g(h(v)), returned in canonical form, by
+        the cocycle rule sigma(g h, n) = sigma(g, h(n)) * sigma(h, n).  h's
+        image of and local action at each support vertex are carried down
+        from its parent, so each frontier edge takes one step from its tail.
+        """
         g, h = self, other
         if g.deg != h.deg:
             raise PortraitError("cannot compose automorphisms of different trees")
-        pts = set(h.core) | {h.preimage(u) for u in g.core}
-        support = prefix_closure(pts)
-        base = g.evaluate(h.base)
+        support = prefix_closure(set(h.core) | {h.preimage(u) for u in g.core})
+        img, act = {V0: h.base}, {V0: h.core[V0]}  # u -> h(u), sigma(h, u)
 
-        def rule(n: Vertex) -> Perm:
-            return g.local_action(h.evaluate(n)) * h.local_action(n)
+        def step(u: Vertex, c: int) -> tuple[Vertex, Perm]:
+            # h(n) and sigma(h, n) at n = u + (c,); sigma(h, n) is h's core
+            # permutation at n, its frontier rule at (u, c), or u's constant
+            n = u + (c,)
+            rule = h.core[n] if n in h.core else h.frontier_rule(u, c) if u in h.core else act[u]
+            return neighbor(img[u], act[u](c)), rule
 
-        core = {u: rule(u) for u in support}
+        for u in sorted(support, key=len)[1:]:
+            img[u], act[u] = step(u[:-1], u[-1])
+
+        def rule(u: Vertex, c: int) -> Perm:
+            x, s = step(u, c)
+            return g.local_action(x) * s
+
+        core = {u: g.local_action(img[u]) * act[u] for u in support}
         branches = {}
         defaults = {}
         for u in support:
             if g.deg is None:
                 # the colors whose rule may differ from the generic one, and a
                 # fresh color standing in for all the others
-                hu = h.evaluate(u)
+                hu = img[u]
                 if hu in g.core:
                     img_special = {c for (w, c) in g.branches if w == hu}
                     img_special |= g._core_edge_colors(hu)
                 else:
                     img_special = {hu[-1]} if hu else set()
-                inv = h.local_action(u).inv()
+                inv = act[u].inv()
                 colors = {c for (w, c) in h.branches if w == u} | {inv(c) for c in img_special}
                 blocked = colors | {w[-1] for w in support if w and w[:-1] == u}
                 if u:
                     blocked.add(u[-1])
-                defaults[u] = rule(u + (max(blocked, default=0) + 1,))
+                defaults[u] = rule(u, max(blocked, default=0) + 1)
                 colors = sorted(colors)
             else:
                 colors = range(g.deg)
             for c in colors:
                 if (not u or c != u[-1]) and u + (c,) not in support:
-                    branches[(u, c)] = rule(u + (c,))
-        return TreeAut(base, core, branches, defaults, deg=g.deg).canonical()
+                    branches[(u, c)] = rule(u, c)
+        return TreeAut(g.evaluate(h.base), core, branches, defaults, deg=g.deg).canonical()
 
     def inverse(self) -> "TreeAut":
-        """The inverse automorphism: sigma(g^-1, g(v)) = sigma(g, v)^-1."""
-        g = self.extended([self.preimage(V0)])
-        images = {u: g.evaluate(u) for u in g.core}
-        core = {images[u]: sigma.inv() for u, sigma in g.core.items()}
-        branches = {(images[u], g.core[u](c)): f.inv() for (u, c), f in g.branches.items()}
-        defaults = {images[u]: f.inv() for u, f in g.defaults.items()}
-        return TreeAut(g.preimage(V0), core, branches, defaults, deg=g.deg).canonical()
+        """The inverse automorphism: sigma(g^-1, g(v)) = sigma(g, v)^-1.
+        Computed once; the inverse keeps this element as its own inverse."""
+        if self._inv is None:
+            g = self.extended([self.preimage(V0)])
+            images = {u: g.evaluate(u) for u in g.core}
+            core = {images[u]: sigma.inv() for u, sigma in g.core.items()}
+            branches = {(images[u], g.core[u](c)): f.inv() for (u, c), f in g.branches.items()}
+            defaults = {images[u]: f.inv() for u, f in g.defaults.items()}
+            self._inv = TreeAut(g.preimage(V0), core, branches, defaults, deg=g.deg).canonical()
+            self._inv._inv = self
+        return self._inv
 
     def __pow__(self, n: int) -> "TreeAut":
         if n < 0:
@@ -341,14 +361,13 @@ class TreeAut:
         return c.base == V0 and len(c.core) == 1 and all(p.is_identity() for p in rules)
 
     def key(self):
-        c = self.canonical()
-        return (
-            c.deg,
-            c.base,
-            tuple(sorted((v, p.key()) for v, p in c.core.items())),
-            tuple(sorted(((u, col), f.key()) for (u, col), f in c.branches.items())),
-            tuple(sorted((v, p.key()) for v, p in c.defaults.items())),
-        )
+        """The canonical form as a tuple; computed once, on the canonical form."""
+        if self._key is None:
+            c = self.canonical()
+            rules = (c.core.items(), c.branches.items(), c.defaults.items())
+            self._key = c.key() if c is not self else (
+                c.deg, c.base, *(tuple(sorted((x, p.key()) for x, p in r)) for r in rules))
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TreeAut) and self.key() == other.key()

@@ -15,6 +15,8 @@ explicit finite color window.  The tree itself is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import ne
 from typing import Iterable
 
 Vertex = tuple[int, ...]
@@ -25,13 +27,13 @@ V0: Vertex = ()
 def is_reduced(word: Iterable[int]) -> bool:
     """True iff no two consecutive letters are equal."""
     word = tuple(word)
-    return all(word[i] != word[i + 1] for i in range(len(word) - 1))
+    return all(map(ne, word, word[1:]))
 
 
 def check_vertex(word: Iterable[int]) -> Vertex:
     """Validate and return a vertex word (reduced tuple of int colors)."""
     v = tuple(word)
-    if not all(isinstance(c, int) for c in v):
+    if not all(map(isinstance, v, repeat(int))):
         raise ValueError(f"colors must be ints: {v!r}")
     if not is_reduced(v):
         raise ValueError(f"word is not reduced: {v!r}")

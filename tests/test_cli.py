@@ -221,6 +221,22 @@ def test_witness_rejects_two_group_sources(tmp_path, capsys, config, sources):
     assert err == f"error: exactly one group source required, got {sources}\n"
 
 
+@pytest.mark.parametrize("command", ["certify", "orbit"])
+def test_free_product_beside_a_preset_exits_2(tmp_path, capsys, command):
+    # the normalized config holds no free_product key, so only a check of
+    # the raw config sees the second source
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "g-alt3-sym3",
+                               "free_product": {"a": [[0, 1], [1, 0]],
+                                                "b": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}}))
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_cli([command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: exactly one group source required, got ['preset', 'free_product']\n"
+    assert not out.exists()
+
+
 def test_witness_degree_two_free_product_exits_2(tmp_path, capsys):
     cfg = tmp_path / "fp22.json"
     cfg.write_text(json.dumps({

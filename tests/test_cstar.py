@@ -113,16 +113,18 @@ def test_orbit_truncation_matches_independent_enumerator():
     ]
     xi = PeriodicEnd((), (0, 1))
     assert not orbit_truncate(gens, xi, 3, 16).depth_warning
-    cases = [gens]
-    for F, Fp in [(ALT3, SYM3), (PermGroup.z_translations(), PermGroup.z_finitary_affine())]:
+    cases = [(gens, 3)]
+    # wreath-z2-z2 repeats letters: the inverse of each F-constant is itself
+    for preset, length in [("g-alt3-sym3", 3), ("z-translations", 3), ("wreath-z2-z2", 2)]:
+        F, Fp, _ = resolve_groups({"preset": preset})
         a, b = disjoint_support_pair(F, Fp, DirectedEdge(V0, 0))
-        cases.append([a, b] + standard_generators(F))
+        cases.append(([a, b] + standard_generators(F), length))
     # a shallow depth makes many words collide, so the labels test the
     # pruning lengths, not only the point set
-    for gens in cases:
+    for gens, length in cases:
         for depth in (3, 16):
-            orbit = orbit_truncate(gens, xi, 3, depth)
-            expected = independent_orbit_enumeration(gens, xi, 3, depth)
+            orbit = orbit_truncate(gens, xi, length, depth)
+            expected = independent_orbit_enumeration(gens, xi, length, depth)
             assert [(w, ray[:depth]) for w, ray in orbit.points] == expected
             # each label's product maps the end to its point, and the carried
             # ray is exact to depth + 2 * margin letters at least

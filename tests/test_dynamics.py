@@ -176,11 +176,21 @@ def exhaustive_products(gens, max_len):
                 yield w, el
 
 
-@pytest.mark.parametrize("F", [ALT3, PermGroup.z_translations()], ids=["alt3", "z-translations"])
-def test_pruned_products_match_exhaustive_bfs(F):
-    gens = standard_generators(F)
-    pruned = [(w, el.key()) for w, el in enumerate_products(gens, 3)]
-    assert pruned == [(w, el.key()) for w, el in exhaustive_products(gens, 3)]
+@pytest.mark.parametrize("name, length", [
+    pytest.param("g-alt3-sym3", 3, id="alt3"),
+    pytest.param("z-translations", 3, id="z-translations"),
+    ("g-cycle5-alt5", 3),
+    ("wreath-z2-z2", 2),
+    ("wreath-z2-z3", 2),
+    ("wreath-z3-z2", 2),
+])
+def test_pruned_products_match_exhaustive_bfs(name, length):
+    # the wreath alphabets repeat letters: the inverse of an F-constant is
+    # another F-constant, and the edge flip (0,) is its own inverse
+    gens = generator_set(name)
+    pruned = [(w, el.key()) for w, el in enumerate_products(gens, length)]
+    assert pruned == [(w, el.key()) for w, el in exhaustive_products(gens, length)]
+    assert list(enumerate_products(gens, 0)) == []
 
 
 def test_general_type_witness_found_for_universal_generators():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from arboreal.cstar_obstruction import fixator_witness, resolve_groups, standard_generators
 from arboreal.perm_groups import Perm, PermGroup
 from arboreal.portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, random_element
-from arboreal.tree_core import V0, enumerate_ball, half_tree, neighbor
+from arboreal.tree_core import V0, enumerate_ball, half_tree, neighbor, prefix_closure
 
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
@@ -121,6 +121,47 @@ def test_group_laws(data):
     for v in _ball(g):
         assert gh.evaluate(v) == g.evaluate(h.evaluate(v))
         assert gh.local_action(v) == g.local_action(h.evaluate(v)) * h.local_action(v)
+
+
+def reference_product(g, h):
+    """g * h with every rule read per edge, g.local_action(h.evaluate(n)) *
+    h.local_action(n), each walked from the base vertex."""
+    support = prefix_closure(set(h.core) | {h.preimage(u) for u in g.core})
+
+    def rule(n):
+        return g.local_action(h.evaluate(n)) * h.local_action(n)
+
+    core = {u: rule(u) for u in support}
+    branches, defaults = {}, {}
+    for u in support:
+        if g.deg is None:
+            # every color whose rule can differ from the generic one, and a
+            # fresh color past all of them for the default
+            hu = h.evaluate(u)
+            if hu in g.core:
+                special = {c for (w, c) in g.branches if w == hu} | g._core_edge_colors(hu)
+            else:
+                special = {hu[-1]} if hu else set()
+            inv = h.local_action(u).inv()
+            colors = {c for (w, c) in h.branches if w == u} | {inv(c) for c in special}
+            blocked = colors | {w[-1] for w in support if w and w[:-1] == u} | set(u[-1:])
+            defaults[u] = rule(u + (max(blocked, default=0) + 1,))
+        else:
+            colors = range(g.deg)
+        for c in colors:
+            if (not u or c != u[-1]) and u + (c,) not in support:
+                branches[(u, c)] = rule(u + (c,))
+    return TreeAut(g.evaluate(h.base), core, branches, defaults, deg=g.deg)
+
+
+@PROPERTY
+@given(st.data())
+def test_product_matches_the_per_edge_reference(data):
+    kind = data.draw(st.sampled_from([finite_elements, integer_elements]))
+    g, h = data.draw(kind), data.draw(kind)
+    assert aut_to_data(g * h) == aut_to_data(reference_product(g, h))
+    assert g.inverse() is g.inverse()
+    assert g.inverse().inverse() == g
 
 
 def _generator_products(preset: str):
