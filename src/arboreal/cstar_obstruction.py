@@ -36,6 +36,7 @@ from .portraits import (
     aut_to_data,
     enumerate_branch_constant,
     image_prefix,
+    json_typed,
     require_key,
 )
 from .tree_core import (
@@ -109,7 +110,7 @@ def fixator_witness(F: PermGroup, Fp: PermGroup, h: DirectedEdge, sigma: Perm | 
     img = t
     for k in range(len(t), 0, -1):
         img = neighbor(img, core[t[:k]](t[k - 1]))
-    g = TreeAut(img, core, branches, defaults, deg=deg).canonical()
+    g = TreeAut(img, core, branches, defaults, deg=deg)
 
     if g.is_identity():
         raise AssertionError("witness collapsed to the identity")
@@ -326,16 +327,6 @@ def fixator_filtration_check(F: PermGroup, Fp: PermGroup, h: DirectedEdge, level
 # -- presets, pipeline, certificates -------------------------------------------
 
 
-def _json_typed(value, kind: type, what: str):
-    """value, if it is exactly a JSON integer (kind int) or string (kind
-    str); anything else is bad input, a ValueError.  The test is on the exact
-    type because bool is a subclass of int and a JSON boolean is no integer."""
-    if type(value) is not kind:
-        name = "integer" if kind is int else "string"
-        raise ValueError(f"{what} must be a JSON {name}, got {json.dumps(value, default=repr)}")
-    return value
-
-
 def group_source(config: dict) -> str:
     """The one group source a config names: preset, groups, wreath, or the
     free-product tables that only `witness` reads."""
@@ -352,7 +343,7 @@ def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, str]:
     if source == "free_product":
         raise ValueError("free_product tables name a free-product tree, not an (F, F') pair")
     if source == "preset":
-        name = _json_typed(config["preset"], str, "preset")
+        name = json_typed(config["preset"], str, "preset")
         if name == "g-alt3-sym3":
             return PermGroup.alternating(3), PermGroup.symmetric(3), "G(Alt(3), Sym(3))"
         if name == "g-cycle5-alt5":
@@ -383,12 +374,12 @@ def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, str]:
 
 
 def _group_from_spec(spec) -> PermGroup:
-    kind = _json_typed(require_key(spec, "kind", "group spec"), str, "group spec kind")
+    kind = json_typed(require_key(spec, "kind", "group spec"), str, "group spec kind")
     finite = {"symmetric": PermGroup.symmetric, "alternating": PermGroup.alternating,
               "cyclic": PermGroup.cyclic, "trivial": PermGroup.trivial}
     if kind in finite:
         degree = require_key(spec, "degree", f"{kind} group spec")
-        return finite[kind](_json_typed(degree, int, f"{kind} group spec degree"))
+        return finite[kind](json_typed(degree, int, f"{kind} group spec degree"))
     if kind == "listed":
         perms = require_key(spec, "perms", "listed group spec")
         if not isinstance(perms, list) or not all(
@@ -452,7 +443,7 @@ def normalize_config(config: dict) -> dict:
     group_source(config)  # on the raw config: the copy below drops free_product
     out = {key: config.get(key) for key in ("preset", "groups", "wreath")}
     for key, default in _BOUND_DEFAULTS.items():
-        out[key] = _json_typed(config.get(key, default), int, key)
+        out[key] = json_typed(config.get(key, default), int, key)
     if min(out["word_length"], out["depth"], out["search_len"]) < 1:
         raise ValueError("numeric bounds must be positive")
     return out

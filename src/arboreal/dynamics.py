@@ -110,17 +110,18 @@ def fixes_half_tree_pointwise(g: TreeAut, h: DirectedEdge) -> bool:
     in h and is fixed, and a permutation fixing all colors but one fixes
     that one too.
 
-    Once the core holds both ends of h's edge, every branch is a connected
-    set that misses that edge, so it lies in h iff the core vertex it hangs
-    from does.  The local actions on h are then the core permutations of the
-    core vertices in h and the branch rules and defaults hung from them.
+    The maps of `g.extended` have a core that holds both ends of h's edge, so
+    every branch is a connected set that misses that edge, and it lies in h
+    iff the core vertex it hangs from does.  The local actions on h are then
+    the core permutations of the core vertices in h and the branch rules and
+    defaults hung from them.
     """
-    g = g.extended([h.tail, h.head])
-    inside = {u for u in g.core if half_tree_contains(h, u)}
+    core, branches, defaults = g.extended([h.tail, h.head])
+    inside = {u for u in core if half_tree_contains(h, u)}
     perms = itertools.chain(
-        (g.core[u] for u in inside),
-        (f for (u, _), f in g.branches.items() if u in inside),
-        (f for u, f in g.defaults.items() if u in inside),
+        (core[u] for u in inside),
+        (f for (u, _), f in branches.items() if u in inside),
+        (f for u, f in defaults.items() if u in inside),
     )
     return g.evaluate(h.head) == h.head and all(p.is_identity() for p in perms)
 

@@ -472,11 +472,8 @@ def wreath_embedding(gamma_table, a_table):
         return Perm.from_table([index[act(f, alpha, x)] for x in points])
 
     base = list(itertools.product(range(ng), repeat=na))
-    F = PermGroup.from_elements(
-        [as_perm(f, ae) for f in base], reason=f"finite (order {ng ** na})"
-    )
-    Fp_els = [as_perm(f, alpha) for f in base for alpha in range(na)]
-    Fp = PermGroup.from_elements(Fp_els, reason=f"finite (order {ng ** na * na})")
+    F = PermGroup.from_elements([as_perm(f, ae) for f in base])
+    Fp = PermGroup.from_elements([as_perm(f, alpha) for f in base for alpha in range(na)])
 
     def delta(g: int):
         return tuple(g if t == ge else ge for t in range(na))
@@ -484,14 +481,15 @@ def wreath_embedding(gamma_table, a_table):
     embed = {g: as_perm(delta(g), ae) for g in range(ng)}
 
     npts = len(points)
+    # a group keeps one copy of each distinct permutation, so the action is
+    # faithful iff the pairs (f, alpha) all give distinct permutations
+    if len(F.elements) != ng ** na or len(Fp.elements) != ng ** na * na:
+        raise AssertionError("wreath action is not faithful")
     if not check_freeness(F):
         raise AssertionError("base group does not act freely")
     x0 = index[tuple(ge for _ in range(na))]
     if {p(x0) for p in F.elements} != set(range(npts)):
         raise AssertionError("base group is not transitive")
-    for p in Fp.elements:
-        if not p.is_identity() and all(p(x) == x for x in range(npts)):
-            raise AssertionError("wreath action is not faithful")
     shift_copy = {as_perm(tuple(ge for _ in range(na)), alpha).key() for alpha in range(na)}
     for x in range(npts):
         stab = {p.key() for p in Fp.elements if p(x) == x}

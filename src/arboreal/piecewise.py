@@ -403,21 +403,20 @@ def piecewise_decomposition(g: TreeAut, F: PermGroup) -> PiecewiseAut:
     if not GroupClass.prescribed(F, PermGroup.symmetric(d)).contains(g):
         raise ValueError("element does not have almost-prescribed local action")
     model = RegularTreeModel(d)
-    gc = g.canonical()
-    vmap = {u: gc.evaluate(u) for u in gc.core}
+    vmap = {u: g.evaluate(u) for u in g.core}
     pieces = {}
-    for u in gc.core:
-        for c in gc.frontier_colors(u):
+    for u in g.core:
+        for c in g.frontier_colors(u):
             n = u + (c,)
-            f = gc.branches[(u, c)]
-            b = gc.evaluate(n)
+            f = g.branches[(u, c)]
+            b = g.evaluate(n)
             for letter in reversed(n):
                 b = neighbor(b, f(letter))
             piece = TreeAut.from_constant(f, b)
-            if piece.evaluate(n) != gc.evaluate(n):
+            if piece.evaluate(n) != g.evaluate(n):
                 raise AssertionError("constant piece misses the branch image")
             pieces[(u, n)] = piece
-    out = PiecewiseAut(model, set(gc.core), vmap, pieces)
+    out = PiecewiseAut(model, set(g.core), vmap, pieces)
     ok, msg = out.validate()
     if not ok:
         raise AssertionError(f"piecewise decomposition invalid: {msg}")

@@ -19,15 +19,18 @@ many branches, so it always carries a default and lists only the exceptions
 to it.  A finite frontier is always listed in full: defaults given at a
 finite degree are expanded into explicit rules when the element is built, so
 a finite element stores no defaults and serializes without them.
+
+Every element is built in its canonical (minimal-core) form, so equal
+automorphisms have equal stored maps.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from types import MappingProxyType
 
 from .perm_groups import Perm, PermGroup, perm_disagreement
 from .tree_core import (
@@ -39,10 +42,6 @@ from .tree_core import (
     neighbor,
     prefix_closure,
 )
-
-
-# the defaults of every finite element: its frontier is listed in full
-_NO_DEFAULTS = MappingProxyType({})
 
 
 class PortraitError(ValueError):
@@ -63,13 +62,14 @@ class TreeAut:
     deg       -- finite degree, or None for integer colors.
 
     `frontier_rule(u, c)` reads the branch rules at u the same way on both
-    color sets.  Instances are immutable, so each computes its canonical
-    form, inverse and key at most once and keeps them (`_canon`, `_inv`,
-    `_key`).  Equality and hashing go through the canonical (minimal-core)
-    form.
+    color sets.  Invariant: every instance is canonical.  The constructor
+    validates the data as given and then absorbs every redundant core leaf,
+    so the stored core is the unique minimal one and equality and hashing
+    compare the stored maps.  Instances are immutable, so each computes its
+    inverse and key at most once and keeps them (`_inv`, `_key`).
     """
 
-    __slots__ = ("deg", "base", "core", "branches", "defaults", "_canon", "_inv", "_key")
+    __slots__ = ("deg", "base", "core", "branches", "defaults", "_inv", "_key")
 
     def __init__(self, base, core, branches=None, defaults=None, deg=None):
         self.deg = deg
@@ -86,13 +86,14 @@ class TreeAut:
                     raise PortraitError(f"permutation domain {f!r} does not match degree {deg}")
                 for c in self.frontier_colors(u):
                     self.branches.setdefault((u, c), f)
-            self.defaults = _NO_DEFAULTS
+            self.defaults = {}
         elif self.defaults:
             self.branches = {
                 (u, c): f for (u, c), f in self.branches.items() if f != self.defaults.get(u, f)
             }
-        self._canon = self._inv = self._key = None
+        self._inv = self._key = None
         self._validate()
+        self._absorb_leaves()
 
     # -- structure helpers ---------------------------------------------------
 
@@ -157,6 +158,35 @@ class TreeAut:
                 raise PortraitError(
                     f"default at {u!r} breaks compatibility at colors {sorted(bad - covered)}"
                 )
+
+    def _absorb_leaves(self):
+        """Reach the unique minimal core: a core leaf whose branch rules and
+        default all equal its permutation becomes its parent's rule there.
+        One sweep from the longest vertices down suffices, since a parent is
+        visited after its children.  That rule agrees with the core edge it
+        replaces, so the maps stay valid without a second validation."""
+        core, branches, defaults = self.core, self.branches, self.defaults
+        rules: dict[Vertex, dict[int, Perm]] = {}
+        for (u, c), f in branches.items():
+            rules.setdefault(u, {})[c] = f
+        children = Counter(v[:-1] for v in core if v)
+        for u in sorted(core, key=len, reverse=True):
+            sigma = core[u]
+            if (
+                not u
+                or children[u]
+                or defaults.get(u, sigma) != sigma
+                or any(f != sigma for f in rules.get(u, {}).values())
+            ):
+                continue
+            del core[u]
+            defaults.pop(u, None)
+            for c in rules.pop(u, ()):
+                del branches[(u, c)]
+            parent = u[:-1]
+            children[parent] -= 1
+            if defaults.get(parent) != sigma:
+                rules.setdefault(parent, {})[u[-1]] = branches[(parent, u[-1])] = sigma
 
     # -- evaluation ---------------------------------------------------------
 
@@ -225,59 +255,21 @@ class TreeAut:
 
     # -- core surgery ---------------------------------------------------------
 
-    def extended(self, verts) -> "TreeAut":
-        """Enlarge the core to the prefix closure of core plus verts, pulling
-        branch constants inward.  The underlying automorphism is unchanged."""
+    def extended(self, verts) -> tuple[dict, dict, dict]:
+        """The maps (core, branches, defaults) of this automorphism over the
+        prefix closure of its core plus verts: a new core vertex carries the
+        constant of the branch it was in as its default.  An element built
+        from them absorbs the padding again."""
         target = prefix_closure(set(self.core) | {tuple(v) for v in verts})
-        if target == set(self.core):
-            return self
-        core = {v: (self.core[v] if v in self.core else self.local_action(v)) for v in target}
-        # a new core vertex keeps the constant of the branch it was in
+        core = {v: self.local_action(v) for v in target}
         defaults = {u: core[u] for u in target if u not in self.core}
         defaults.update(self.defaults)
         branches = {(u, c): f for (u, c), f in self.branches.items() if u + (c,) not in target}
-        return TreeAut(self.base, core, branches, defaults, deg=self.deg)
+        return core, branches, defaults
 
     def canonical(self) -> "TreeAut":
-        """The unique minimal-core form: core leaves whose branch rules all
-        equal their own permutation are absorbed into the parent branch.
-        One sweep from the longest vertices down suffices, since a parent
-        is visited after all its children.  Idempotent; structural equality
-        of canonical forms is equality of automorphisms."""
-        if self._canon is not None:
-            return self._canon
-        core = dict(self.core)
-        defaults = dict(self.defaults)
-        rules: dict[Vertex, dict[int, Perm]] = {}
-        for (u, c), f in self.branches.items():
-            rules.setdefault(u, {})[c] = f
-        children = Counter(v[:-1] for v in core if v)
-        absorbed = False
-        for u in sorted(core, key=len, reverse=True):
-            sigma = core[u]
-            if (
-                not u
-                or children[u]
-                or defaults.get(u, sigma) != sigma
-                or any(f != sigma for f in rules.get(u, {}).values())
-            ):
-                continue
-            del core[u]
-            defaults.pop(u, None)
-            rules.pop(u, None)
-            parent = u[:-1]
-            children[parent] -= 1
-            if defaults.get(parent) != sigma:
-                rules.setdefault(parent, {})[u[-1]] = sigma
-            absorbed = True
-        if not absorbed:
-            self._canon = self
-            return self
-        branches = {(u, c): f for u, r in rules.items() for c, f in r.items()}
-        out = TreeAut(self.base, core, branches, defaults, deg=self.deg)
-        out._canon = out
-        self._canon = out
-        return out
+        """The canonical (minimal-core) form, which every element already is."""
+        return self
 
     # -- group operations -----------------------------------------------------
 
@@ -332,18 +324,19 @@ class TreeAut:
             for c in colors:
                 if (not u or c != u[-1]) and u + (c,) not in support:
                     branches[(u, c)] = rule(u, c)
-        return TreeAut(g.evaluate(h.base), core, branches, defaults, deg=g.deg).canonical()
+        return TreeAut(g.evaluate(h.base), core, branches, defaults, deg=g.deg)
 
     def inverse(self) -> "TreeAut":
         """The inverse automorphism: sigma(g^-1, g(v)) = sigma(g, v)^-1.
         Computed once; the inverse keeps this element as its own inverse."""
         if self._inv is None:
-            g = self.extended([self.preimage(V0)])
-            images = {u: g.evaluate(u) for u in g.core}
-            core = {images[u]: sigma.inv() for u, sigma in g.core.items()}
-            branches = {(images[u], g.core[u](c)): f.inv() for (u, c), f in g.branches.items()}
-            defaults = {images[u]: f.inv() for u, f in g.defaults.items()}
-            self._inv = TreeAut(g.preimage(V0), core, branches, defaults, deg=g.deg).canonical()
+            base = self.preimage(V0)
+            core, branches, defaults = self.extended([base])
+            images = {u: self.evaluate(u) for u in core}
+            inv_core = {images[u]: sigma.inv() for u, sigma in core.items()}
+            inv_branches = {(images[u], core[u](c)): f.inv() for (u, c), f in branches.items()}
+            inv_defaults = {images[u]: f.inv() for u, f in defaults.items()}
+            self._inv = TreeAut(base, inv_core, inv_branches, inv_defaults, deg=self.deg)
             self._inv._inv = self
         return self._inv
 
@@ -356,17 +349,15 @@ class TreeAut:
         return out
 
     def is_identity(self) -> bool:
-        c = self.canonical()
-        rules = chain(c.core.values(), c.branches.values(), c.defaults.values())
-        return c.base == V0 and len(c.core) == 1 and all(p.is_identity() for p in rules)
+        rules = chain(self.core.values(), self.branches.values(), self.defaults.values())
+        return self.base == V0 and len(self.core) == 1 and all(p.is_identity() for p in rules)
 
     def key(self):
-        """The canonical form as a tuple; computed once, on the canonical form."""
+        """The canonical maps as a tuple; computed once."""
         if self._key is None:
-            c = self.canonical()
-            rules = (c.core.items(), c.branches.items(), c.defaults.items())
-            self._key = c.key() if c is not self else (
-                c.deg, c.base, *(tuple(sorted((x, p.key()) for x, p in r)) for r in rules))
+            rules = (self.core.items(), self.branches.items(), self.defaults.items())
+            self._key = (self.deg, self.base,
+                         *(tuple(sorted((x, p.key()) for x, p in r)) for r in rules))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -376,8 +367,7 @@ class TreeAut:
         return hash(self.key())
 
     def __repr__(self) -> str:
-        c = self.canonical()
-        return f"TreeAut(base={''.join(map(str, c.base)) or 'v0'}, core={len(c.core)})"
+        return f"TreeAut(base={''.join(map(str, self.base)) or 'v0'}, core={len(self.core)})"
 
 
 # -- group classes ----------------------------------------------------------
@@ -423,14 +413,11 @@ class GroupClass:
             raise ValueError("element tree degree does not match the class")
         if self.kind == "any":
             return True
-        c = g.canonical()
-        tails = list(c.branches.values()) + list(c.defaults.values())
-        ok = all(self.Fp.contains(p) for p in c.core.values()) and all(
-            self.F.contains(f) for f in tails
-        )
+        tails = chain(g.branches.values(), g.defaults.values())
+        ok = all(map(self.Fp.contains, g.core.values())) and all(map(self.F.contains, tails))
         if self.kind == "G*":
             # bipartition preserved iff the base vertex moves an even distance
-            ok = ok and len(c.base) % 2 == 0
+            ok = ok and len(g.base) % 2 == 0
         return ok
 
 
@@ -499,7 +486,7 @@ def random_element(cls: GroupClass, core_radius: int, seed: int) -> TreeAut:
     if cls.kind == "G*" and length % 2:
         length -= 1
     base = _random_reduced_word(rng, length, range(d))
-    g = TreeAut(base, core, branches, deg=d).canonical()
+    g = TreeAut(base, core, branches, deg=d)
     assert cls.contains(g)
     return g
 
@@ -525,8 +512,7 @@ def enumerate_branch_constant(F: PermGroup, core_radius: int, bases) -> list[Tre
         raise ValueError("exhaustive enumeration needs a finite group")
     d = F.degree
     verts = sorted(enumerate_ball(V0, core_radius, range(d)), key=lambda v: (len(v), v))
-    out: list[TreeAut] = []
-    seen = set()
+    out: dict[tuple, TreeAut] = {}  # key -> first element with it
     for base in bases:
         stack: list[dict[Vertex, Perm]] = [{}]
         for u in verts:
@@ -556,11 +542,9 @@ def enumerate_branch_constant(F: PermGroup, core_radius: int, bases) -> list[Tre
                 cand = [p for p in F.elements if p(c) == need]
                 rule_stack = [{**r, (u, c): p} for r in rule_stack for p in cand]
             for branches in rule_stack:
-                g = TreeAut(base, core, branches, deg=d).canonical()
-                if g.key() not in seen:
-                    seen.add(g.key())
-                    out.append(g)
-    return out
+                g = TreeAut(base, core, branches, deg=d)
+                out.setdefault(g.key(), g)
+    return list(out.values())
 
 
 # -- end images ---------------------------------------------------------------
@@ -606,30 +590,60 @@ def require_key(spec, key: str, what: str):
     return spec[key]
 
 
+def json_typed(value, kind: type, what: str):
+    """value, if it is exactly a JSON integer (kind int) or string (kind
+    str); anything else is bad input, a ValueError.  The test is on the exact
+    type because bool is a subclass of int and a JSON boolean is no integer."""
+    if type(value) is not kind:
+        name = "integer" if kind is int else "string"
+        raise ValueError(f"{what} must be a JSON {name}, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def _json_list(value, item: type, what: str) -> list:
+    """value, if it is a list of entries of exactly the type `item`: int for
+    JSON integers (not booleans), or list; anything else is bad input."""
+    if not isinstance(value, list) or not all(type(x) is item for x in value):
+        name = "JSON integers" if item is int else "lists"
+        raise ValueError(f"{what} must be a list of {name}, got {json.dumps(value, default=repr)}")
+    return value
+
+
 def perm_from_data(data) -> Perm:
+    """A table of JSON integers, or an integer shift with a patch of integer
+    pairs; any other shape is bad input."""
     if isinstance(data, list):
-        return Perm.from_table(data)
+        return Perm.from_table(_json_list(data, int, "permutation table"))
     shift, patch = (require_key(data, k, "integer-color permutation") for k in ("shift", "patch"))
-    return Perm.z_affine(shift, {x: y for x, y in patch})
+    pairs = (_json_list(pair, int, "patch pair") for pair in _json_list(patch, list, "patch"))
+    return Perm.z_affine(json_typed(shift, int, "permutation shift"), dict(pairs))
 
 
 def aut_to_data(g: TreeAut) -> dict:
-    c = g.canonical()
     out = {
-        "degree": c.deg,
-        "base": list(c.base),
-        "core": sorted([list(v), perm_to_data(p)] for v, p in c.core.items()),
-        "branches": sorted([list(u), col, perm_to_data(f)] for (u, col), f in c.branches.items()),
+        "degree": g.deg,
+        "base": list(g.base),
+        "core": sorted([list(v), perm_to_data(p)] for v, p in g.core.items()),
+        "branches": sorted([list(u), col, perm_to_data(f)] for (u, col), f in g.branches.items()),
     }
-    if c.deg is None:
-        out["defaults"] = sorted([list(v), perm_to_data(p)] for v, p in c.defaults.items())
+    if g.deg is None:
+        out["defaults"] = sorted([list(v), perm_to_data(p)] for v, p in g.defaults.items())
     return out
 
 
 def aut_from_data(data) -> TreeAut:
+    """The element of `aut_to_data`; any other shape is bad input."""
     keys = ("degree", "base", "core", "branches")
     deg, base, core, branches = (require_key(data, k, "serialized element") for k in keys)
-    core = {tuple(v): perm_from_data(p) for v, p in core}
-    branches = {(tuple(u), c): perm_from_data(f) for u, c, f in branches}
-    defaults = {tuple(v): perm_from_data(p) for v, p in data.get("defaults", [])}
-    return TreeAut(tuple(base), core, branches, defaults, deg=deg)
+    if deg is not None:
+        json_typed(deg, int, "element degree, if not null,")
+
+    def vertex(v) -> Vertex:
+        return tuple(_json_list(v, int, "vertex"))
+
+    core = {vertex(v): perm_from_data(p) for v, p in _json_list(core, list, "core")}
+    branches = {(vertex(u), json_typed(c, int, "branch color")): perm_from_data(f)
+                for u, c, f in _json_list(branches, list, "branches")}
+    defaults = {vertex(v): perm_from_data(p)
+                for v, p in _json_list(data.get("defaults", []), list, "defaults")}
+    return TreeAut(vertex(base), core, branches, defaults, deg=deg)

@@ -222,9 +222,9 @@ def test_criterion_10_wreath_embeddings():
             assert npts == n**m
             assert check_freeness(F)
             assert orbits(F) == [frozenset(range(npts))]
-            for p in Fp.elements:
-                if not p.is_identity():
-                    assert any(p(x) != x for x in range(npts))
+            # faithful: no two pairs (f, alpha) act alike
+            assert len(F.elements) == n**m
+            assert len(Fp.elements) == n**m * m
             x0 = points.index(tuple(0 for _ in range(m)))
             stab0 = [p for p in Fp.elements if p(x0) == x0]
             assert len(stab0) == m

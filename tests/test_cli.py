@@ -168,11 +168,44 @@ def test_options_no_stage_reads_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_classify_bad_element_exits_2(capsys):
-    code, _, err = run_cli(
-        ["classify", "--preset", "g-alt3-sym3", "--element", "q9"], capsys
-    )
+_ID3 = [0, 1, 2]
+_ELEMENT3 = {"degree": 3, "base": [], "core": [[[], _ID3]],
+             "branches": [[[], c, _ID3] for c in range(3)]}
+_ZID = {"shift": 0, "patch": []}
+_ELEMENT_Z = {"degree": None, "base": [], "core": [[[], _ZID]], "branches": [],
+              "defaults": [[[], _ZID]]}
+
+
+@pytest.mark.parametrize("preset, element", [
+    pytest.param("g-alt3-sym3", "q9", id="bad-word"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": 5}, id="core-int"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "base": 5}, id="base-int"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[5, _ID3]]}, id="vertex-int"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "degree": "3"}, id="degree-str"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[[], [0, "x", 2]]]}, id="table-str"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[[], [0, True, 2]]]}, id="table-bool"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "branches": [[[], "0", _ID3]] + _ELEMENT3["branches"][1:]},
+                 id="color-str"),
+    pytest.param("z-translations", {**_ELEMENT_Z, "core": [[[], {"shift": 0, "patch": 5}]]},
+                 id="patch-int"),
+    pytest.param("z-translations", {**_ELEMENT_Z, "core": [[[], {"shift": "0", "patch": []}]]},
+                 id="shift-str"),
+])
+def test_classify_bad_element_exits_2(preset, element, capsys):
+    text = element if isinstance(element, str) else json.dumps(element)
+    code, _, err = run_cli(["classify", "--preset", preset, "--element", text], capsys)
     assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("preset, element", [
+    ("g-alt3-sym3", _ELEMENT3), ("z-translations", _ELEMENT_Z)])
+def test_classify_serialized_identity(preset, element, capsys):
+    # the elements each malformed case above alters in one field are valid
+    code, stdout, _ = run_cli(
+        ["classify", "--preset", preset, "--element", json.dumps(element)], capsys)
+    assert code == 0
+    assert "elliptic, fixes vertex v0" in stdout
 
 
 def test_orbit_report(capsys):

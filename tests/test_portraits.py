@@ -87,22 +87,22 @@ def test_evaluate_is_a_bijection_on_balls():
 def test_canonicalize_absorbs_redundant_padding():
     f = Perm.from_cycles(3, (0, 1, 2))
     g = TreeAut.from_constant(f, V0)
-    padded = g.extended(enumerate_ball(V0, 2, range(3)))
-    assert len(padded.core) == 10
-    assert padded.canonical().core == {V0: f}
+    core, branches, defaults = g.extended(enumerate_ball(V0, 2, range(3)))
+    assert len(core) == 10
+    padded = TreeAut(g.base, core, branches, defaults, deg=g.deg)
+    assert padded.core == {V0: f}
     assert padded == g
-    # canonicalize is idempotent and evaluate-preserving
-    c = padded.canonical()
-    assert c.canonical() is c.canonical()
+    # every element is built canonical, and absorbing preserves evaluation
+    assert padded.canonical() is padded
     for v in ball3():
-        assert padded.evaluate(v) == c.evaluate(v)
+        assert padded.evaluate(v) == g.evaluate(v)
 
 
 def test_two_paddings_reach_the_same_canonical_form():
     g = random_element(G_CLASS, 2, seed=9)
-    p1 = g.extended(enumerate_ball(V0, 3, range(3)))
-    p2 = g.extended(enumerate_ball(V0, 4, range(3)))
-    assert p1.canonical().key() == p2.canonical().key()
+    p1 = TreeAut(g.base, *g.extended(enumerate_ball(V0, 3, range(3))), deg=g.deg)
+    p2 = TreeAut(g.base, *g.extended(enumerate_ball(V0, 4, range(3))), deg=g.deg)
+    assert p1.key() == p2.key() == g.key()
     for v in ball3():
         assert p1.evaluate(v) == g.evaluate(v)
 

@@ -79,26 +79,54 @@ def test_canonical_is_idempotent(g):
 @PROPERTY
 @given(elements)
 def test_extended_then_canonical_returns_the_key(g):
-    padded = g.extended(_ball(g))
-    assert padded.canonical().key() == g.key()
+    core, branches, defaults = g.extended(_ball(g))
+    assert all(core[v] == g.local_action(v) for v in core)
+    padded = TreeAut(g.base, core, branches, defaults, deg=g.deg)
+    assert padded.key() == g.key()
     assert all(padded.evaluate(v) == g.evaluate(v) for v in _ball(g, 3))
 
 
 @PROPERTY
 @given(finite_elements, st.integers(0, 2))
 def test_finite_defaults_expand_to_the_explicit_frontier(g, radius):
-    g = g.extended(_ball(g, radius))
-    defaults = {}
-    for u in g.core:
-        cols = g.frontier_colors(u)
+    core, branches, defaults = g.extended(_ball(g, radius))
+    # every padded core vertex with a frontier takes the rule of its last
+    # frontier color as default, and only the rules differing from it stay
+    for u in core:
+        cols = [c for c in range(g.deg) if (not u or c != u[-1]) and u + (c,) not in core]
         if cols:
-            defaults[u] = g.frontier_rule(u, cols[-1])
-    sparse = {(u, c): f for (u, c), f in g.branches.items() if f != defaults[u]}
-    h = TreeAut(g.base, g.core, sparse, defaults, deg=g.deg)
+            defaults[u] = g.local_action(u + (cols[-1],))
+    sparse = {(u, c): f for (u, c), f in branches.items() if f != defaults[u]}
+    h = TreeAut(g.base, core, sparse, defaults, deg=g.deg)
     assert h.branches == g.branches
     assert h.defaults == {}
     assert h == g
     assert aut_to_data(h) == aut_to_data(g)
+
+
+def _absorbable_leaves(g):
+    """The non-root core leaves whose branch rules and default all equal
+    their own permutation."""
+    parents = {v[:-1] for v in g.core if v}
+    rules = {}
+    for (u, _), f in g.branches.items():
+        rules.setdefault(u, []).append(f)
+    for u, f in g.defaults.items():
+        rules.setdefault(u, []).append(f)
+    return [
+        u for u, sigma in g.core.items()
+        if u and u not in parents and all(f == sigma for f in rules.get(u, []))
+    ]
+
+
+@PROPERTY
+@given(st.data())
+def test_products_and_inverses_are_built_canonical(data):
+    kind = data.draw(st.sampled_from([finite_elements, integer_elements]))
+    g, h = data.draw(kind), data.draw(kind)
+    for x in (g * h, g.inverse(), (h * g).inverse()):
+        assert x.canonical() is x
+        assert _absorbable_leaves(x) == []
 
 
 @PROPERTY
