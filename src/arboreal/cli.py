@@ -111,8 +111,7 @@ def _write_or_print(text: str, out_path) -> None:
 
 
 def cmd_certify(args) -> int:
-    config = normalize_config(_load_config(args))
-    cert = build_certificate(config)
+    cert = build_certificate(_load_config(args))
     text = serialize_certificate(cert)
     out_path = args.out or "certificate.txt"
     with open(out_path, "w") as fh:

@@ -110,7 +110,7 @@ def fixator_witness(F: PermGroup, Fp: PermGroup, h: DirectedEdge, sigma: Perm | 
     img = t
     for k in range(len(t), 0, -1):
         img = neighbor(img, core[t[:k]](t[k - 1]))
-    g = TreeAut(img, core, branches, defaults, deg=deg)
+    g = TreeAut(img, core, branches, defaults)
 
     if g.is_identity():
         raise AssertionError("witness collapsed to the identity")

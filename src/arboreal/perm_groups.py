@@ -23,17 +23,18 @@ class NotASubgroupError(ValueError):
 class Perm:
     """A bijection of the color set.
 
-    kind "f": finite table, `table[c]` is the image of c on {0..d-1}.
-    kind "z": integer permutation x -> shift + patch.get(x, x); the patch is
-    a finitary bijection stored without fixed points, which makes the pair
-    (shift, patch) a unique normal form, so equality is structural.
+    With a table it is finite: `table[c]` is the image of c on {0..d-1}.
+    Without, it is the integer permutation x -> shift + patch.get(x, x); the
+    patch is a finitary bijection stored without fixed points, which makes
+    the pair (shift, patch) a unique normal form, so equality is structural.
+    `kind` is derived: "f" with a table, "z" without.
     """
 
     __slots__ = ("kind", "table", "shift", "patch", "_pmap")
 
-    def __init__(self, kind, table=None, shift=0, patch=()):
-        self.kind = kind
-        if kind == "f":
+    def __init__(self, table=None, shift=0, patch=()):
+        if table is not None:
+            self.kind = "f"
             self.table = tuple(table)
             d = len(self.table)
             if sorted(self.table) != list(range(d)):
@@ -41,7 +42,8 @@ class Perm:
             self.shift = 0
             self.patch = ()
             self._pmap = None
-        elif kind == "z":
+        else:
+            self.kind = "z"
             self.table = None
             self.shift = int(shift)
             items = {int(x): int(y) for x, y in dict(patch).items() if int(x) != int(y)}
@@ -49,20 +51,18 @@ class Perm:
                 raise ValueError(f"patch is not a finitary bijection: {patch!r}")
             self.patch = tuple(sorted(items.items()))
             self._pmap = dict(items)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_table(table: Iterable[int]) -> "Perm":
-        return Perm("f", table=table)
+        return Perm(table)
 
     @staticmethod
     def identity(degree: int | None) -> "Perm":
         if degree is None:
-            return Perm("z")
-        return Perm("f", table=range(degree))
+            return Perm()
+        return Perm(range(degree))
 
     @staticmethod
     def from_cycles(degree: int, *cycles: Iterable[int]) -> "Perm":
@@ -71,19 +71,19 @@ class Perm:
             cyc = list(cyc)
             for i, c in enumerate(cyc):
                 table[c] = cyc[(i + 1) % len(cyc)]
-        return Perm("f", table=table)
+        return Perm(table)
 
     @staticmethod
     def z_translation(shift: int) -> "Perm":
-        return Perm("z", shift=shift)
+        return Perm(shift=shift)
 
     @staticmethod
     def z_swap(p: int, q: int) -> "Perm":
-        return Perm("z", patch={p: q, q: p})
+        return Perm(patch={p: q, q: p})
 
     @staticmethod
     def z_affine(shift: int, patch) -> "Perm":
-        return Perm("z", shift=shift, patch=patch)
+        return Perm(shift=shift, patch=patch)
 
     # -- group operations --------------------------------------------------
 
@@ -101,7 +101,7 @@ class Perm:
         if self.kind != other.kind or self.degree != other.degree:
             raise ValueError("permutation domains mismatch")
         if self.kind == "f":
-            return Perm("f", table=[self.table[x] for x in other.table])
+            return Perm([self.table[x] for x in other.table])
         # (s1,f1)(s2,f2): x -> s1 + f1(s2 + f2(x)); renormalize the finitary
         # part by conjugating through s2 so the result is again (shift, patch).
         f1 = dict(self.patch)
@@ -112,17 +112,17 @@ class Perm:
         for x in keys:
             t = s2 + f2.get(x, x)
             patch[x] = f1.get(t, t) - s2
-        return Perm("z", shift=self.shift + s2, patch=patch)
+        return Perm(shift=self.shift + s2, patch=patch)
 
     def inv(self) -> "Perm":
         if self.kind == "f":
             table = [0] * len(self.table)
             for i, j in enumerate(self.table):
                 table[j] = i
-            return Perm("f", table=table)
+            return Perm(table)
         s = self.shift
         patch = {y + s: x + s for x, y in self.patch}
-        return Perm("z", shift=-s, patch=patch)
+        return Perm(shift=-s, patch=patch)
 
     def is_identity(self) -> bool:
         if self.kind == "f":
@@ -211,7 +211,7 @@ class PermGroup:
 
     __slots__ = ("kind", "elements", "degree", "point", "amenability_reason")
 
-    def __init__(self, kind, elements=None, degree=None, point=None, amenability_reason=None):
+    def __init__(self, kind, elements=None, point=None, amenability_reason=None):
         self.kind = kind
         self.point = point
         if kind == "finite":
@@ -254,8 +254,8 @@ class PermGroup:
         return PermGroup("finite", elements=elements, amenability_reason=reason)
 
     @staticmethod
-    def generated(gens: Iterable[Perm], reason=None) -> "PermGroup":
-        return PermGroup("finite", elements=mulclose(list(gens)), amenability_reason=reason)
+    def generated(gens: Iterable[Perm]) -> "PermGroup":
+        return PermGroup("finite", elements=mulclose(list(gens)))
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
@@ -494,7 +494,7 @@ def wreath_embedding(gamma_table, a_table):
     for x in range(npts):
         stab = {p.key() for p in Fp.elements if p(x) == x}
         g = next(p for p in Fp.elements if p(x0) == x)
-        conj = {(g * Perm("f", table=k[1]) * g.inv()).key() for k in shift_copy}
+        conj = {(g * Perm(k[1]) * g.inv()).key() for k in shift_copy}
         if stab != conj:
             raise AssertionError("a point stabilizer is not a conjugate of A")
 

@@ -55,11 +55,11 @@ class TreeAut:
     core      -- prefix-closed finite map vertex -> local permutation.
     branches  -- explicit branch rules keyed by frontier edge (vertex, color).
     defaults  -- per core vertex, the rule of every frontier color that
-                 `branches` leaves out; explicit rules equal to it are
-                 dropped.  Integer colors need one at every core vertex.  At
-                 a finite degree they are expanded into explicit rules on
-                 construction, so a finite element keeps this map empty.
-    deg       -- finite degree, or None for integer colors.
+                 `branches` leaves out.  Integer colors need one at every
+                 core vertex.  Once validated, finite defaults are expanded
+                 into explicit rules, so a finite element keeps this map
+                 empty; integer ones drop the explicit rules equal to them.
+    deg       -- derived from the core: the finite degree, or None.
 
     `frontier_rule(u, c)` reads the branch rules at u the same way on both
     color sets.  Invariant: every instance is canonical.  The constructor
@@ -71,28 +71,23 @@ class TreeAut:
 
     __slots__ = ("deg", "base", "core", "branches", "defaults", "_inv", "_key")
 
-    def __init__(self, base, core, branches=None, defaults=None, deg=None):
-        self.deg = deg
+    def __init__(self, base, core, branches=None, defaults=None):
         self.base = check_vertex(base)
         self.core = {check_vertex(v): p for v, p in core.items()}
+        if V0 not in self.core:
+            raise PortraitError("core must contain the base vertex")
+        self.deg = self.core[V0].degree
         self.branches = {(check_vertex(u), int(c)): f for (u, c), f in (branches or {}).items()}
         self.defaults = {check_vertex(v): p for v, p in (defaults or {}).items()}
-        if deg is not None:
+        self._inv = self._key = None
+        self._validate()
+        if self.deg is not None:
             for u, f in self.defaults.items():
-                # checked here, since a default is dropped after expansion
-                if u not in self.core:
-                    raise PortraitError(f"default at non-core vertex {u!r}")
-                if f.degree != deg:
-                    raise PortraitError(f"permutation domain {f!r} does not match degree {deg}")
                 for c in self.frontier_colors(u):
                     self.branches.setdefault((u, c), f)
             self.defaults = {}
-        elif self.defaults:
-            self.branches = {
-                (u, c): f for (u, c), f in self.branches.items() if f != self.defaults.get(u, f)
-            }
-        self._inv = self._key = None
-        self._validate()
+        else:
+            self.branches = {e: f for e, f in self.branches.items() if f != self.defaults[e[0]]}
         self._absorb_leaves()
 
     # -- structure helpers ---------------------------------------------------
@@ -121,8 +116,6 @@ class TreeAut:
     def _validate(self):
         if self.deg is not None and self.deg < 3:
             raise PortraitError("finite color sets need at least three colors")
-        if V0 not in self.core:
-            raise PortraitError("core must contain the base vertex")
         for v in self.core:
             if v and v[:-1] not in self.core:
                 raise PortraitError(f"core is not connected at {v!r}")
@@ -139,25 +132,24 @@ class TreeAut:
                 raise PortraitError(f"branch rule at non-frontier edge ({u!r}, {c})")
             if f(c) != self.core[u](c):
                 raise PortraitError(f"edge compatibility fails at frontier ({u!r}, {c})")
-        for u in self.core:
-            if self.deg is not None:
-                missing = [c for c in self.frontier_colors(u) if (u, c) not in self.branches]
-                if missing:
-                    raise PortraitError(f"frontier edges without rules at {u!r}: {missing}")
-            elif u not in self.defaults:
-                raise PortraitError(f"core vertex {u!r} lacks a default branch constant")
-        # a default agrees with the core at all but the listed colors
+        # a default agrees with the core at every frontier color it covers
         for u, f in self.defaults.items():
             if u not in self.core:
                 raise PortraitError(f"default at non-core vertex {u!r}")
             bad = perm_disagreement(f, self.core[u])
             if bad is None:
                 raise PortraitError(f"default at {u!r} disagrees with the core cofinitely")
-            covered = self._core_edge_colors(u) | {c for (w, c) in self.branches if w == u}
-            if not bad <= covered:
-                raise PortraitError(
-                    f"default at {u!r} breaks compatibility at colors {sorted(bad - covered)}"
-                )
+            bad = sorted(c for c in bad
+                         if self.is_frontier_color(u, c) and (u, c) not in self.branches)
+            if bad:
+                raise PortraitError(f"default at {u!r} breaks compatibility at colors {bad}")
+        # every frontier edge has a rule: a listed one or its vertex's default
+        for u in self.core.keys() - self.defaults.keys():
+            if self.deg is None:
+                raise PortraitError(f"core vertex {u!r} lacks a default branch constant")
+            missing = [c for c in self.frontier_colors(u) if (u, c) not in self.branches]
+            if missing:
+                raise PortraitError(f"frontier edges without rules at {u!r}: {missing}")
 
     def _absorb_leaves(self):
         """Reach the unique minimal core: a core leaf whose branch rules and
@@ -247,7 +239,7 @@ class TreeAut:
     def from_constant(f: Perm, base=V0) -> "TreeAut":
         """The automorphism with constant portrait f sending the base vertex
         to `base`; constant portraits always satisfy edge compatibility."""
-        return TreeAut(base, {V0: f}, defaults={V0: f}, deg=f.degree)
+        return TreeAut(base, {V0: f}, defaults={V0: f})
 
     @staticmethod
     def identity(deg: int | None) -> "TreeAut":
@@ -324,7 +316,7 @@ class TreeAut:
             for c in colors:
                 if (not u or c != u[-1]) and u + (c,) not in support:
                     branches[(u, c)] = rule(u, c)
-        return TreeAut(g.evaluate(h.base), core, branches, defaults, deg=g.deg)
+        return TreeAut(g.evaluate(h.base), core, branches, defaults)
 
     def inverse(self) -> "TreeAut":
         """The inverse automorphism: sigma(g^-1, g(v)) = sigma(g, v)^-1.
@@ -336,7 +328,7 @@ class TreeAut:
             inv_core = {images[u]: sigma.inv() for u, sigma in core.items()}
             inv_branches = {(images[u], core[u](c)): f.inv() for (u, c), f in branches.items()}
             inv_defaults = {images[u]: f.inv() for u, f in defaults.items()}
-            self._inv = TreeAut(base, inv_core, inv_branches, inv_defaults, deg=self.deg)
+            self._inv = TreeAut(base, inv_core, inv_branches, inv_defaults)
             self._inv._inv = self
         return self._inv
 
@@ -486,7 +478,7 @@ def random_element(cls: GroupClass, core_radius: int, seed: int) -> TreeAut:
     if cls.kind == "G*" and length % 2:
         length -= 1
     base = _random_reduced_word(rng, length, range(d))
-    g = TreeAut(base, core, branches, deg=d)
+    g = TreeAut(base, core, branches)
     assert cls.contains(g)
     return g
 
@@ -542,7 +534,7 @@ def enumerate_branch_constant(F: PermGroup, core_radius: int, bases) -> list[Tre
                 cand = [p for p in F.elements if p(c) == need]
                 rule_stack = [{**r, (u, c): p} for r in rule_stack for p in cand]
             for branches in rule_stack:
-                g = TreeAut(base, core, branches, deg=d)
+                g = TreeAut(base, core, branches)
                 out.setdefault(g.key(), g)
     return list(out.values())
 
@@ -600,12 +592,14 @@ def json_typed(value, kind: type, what: str):
     return value
 
 
-def _json_list(value, item: type, what: str) -> list:
-    """value, if it is a list of entries of exactly the type `item`: int for
-    JSON integers (not booleans), or list; anything else is bad input."""
+def _json_list(value, item: type, what: str, width: int | None = None) -> list:
+    """value, if it is a list of entries of exactly the type `item` (int for
+    JSON integers, not booleans), each of length `width` if given; else bad input."""
     if not isinstance(value, list) or not all(type(x) is item for x in value):
         name = "JSON integers" if item is int else "lists"
         raise ValueError(f"{what} must be a list of {name}, got {json.dumps(value, default=repr)}")
+    if width is not None and any(len(x) != width for x in value):
+        raise ValueError(f"each entry of {what} must have {width} entries, got {json.dumps(value)}")
     return value
 
 
@@ -615,7 +609,7 @@ def perm_from_data(data) -> Perm:
     if isinstance(data, list):
         return Perm.from_table(_json_list(data, int, "permutation table"))
     shift, patch = (require_key(data, k, "integer-color permutation") for k in ("shift", "patch"))
-    pairs = (_json_list(pair, int, "patch pair") for pair in _json_list(patch, list, "patch"))
+    pairs = (_json_list(pair, int, "patch pair") for pair in _json_list(patch, list, "patch", 2))
     return Perm.z_affine(json_typed(shift, int, "permutation shift"), dict(pairs))
 
 
@@ -641,9 +635,13 @@ def aut_from_data(data) -> TreeAut:
     def vertex(v) -> Vertex:
         return tuple(_json_list(v, int, "vertex"))
 
-    core = {vertex(v): perm_from_data(p) for v, p in _json_list(core, list, "core")}
+    core = {vertex(v): perm_from_data(p) for v, p in _json_list(core, list, "core", 2)}
     branches = {(vertex(u), json_typed(c, int, "branch color")): perm_from_data(f)
-                for u, c, f in _json_list(branches, list, "branches")}
+                for u, c, f in _json_list(branches, list, "branches", 3)}
     defaults = {vertex(v): perm_from_data(p)
-                for v, p in _json_list(data.get("defaults", []), list, "defaults")}
-    return TreeAut(vertex(base), core, branches, defaults, deg=deg)
+                for v, p in _json_list(data.get("defaults", []), list, "defaults", 2)}
+    g = TreeAut(vertex(base), core, branches, defaults)
+    if g.deg != deg:
+        raise ValueError(f"element degree {json.dumps(deg)} does not match its permutations' "
+                         f"degree {json.dumps(g.deg)}")
+    return g

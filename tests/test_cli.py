@@ -176,26 +176,35 @@ _ELEMENT_Z = {"degree": None, "base": [], "core": [[[], _ZID]], "branches": [],
               "defaults": [[[], _ZID]]}
 
 
-@pytest.mark.parametrize("preset, element", [
-    pytest.param("g-alt3-sym3", "q9", id="bad-word"),
-    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": 5}, id="core-int"),
-    pytest.param("g-alt3-sym3", {**_ELEMENT3, "base": 5}, id="base-int"),
-    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[5, _ID3]]}, id="vertex-int"),
-    pytest.param("g-alt3-sym3", {**_ELEMENT3, "degree": "3"}, id="degree-str"),
-    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[[], [0, "x", 2]]]}, id="table-str"),
-    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[[], [0, True, 2]]]}, id="table-bool"),
+@pytest.mark.parametrize("preset, element, named", [
+    pytest.param("g-alt3-sym3", "q9", None, id="bad-word"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": 5}, None, id="core-int"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "base": 5}, None, id="base-int"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[5, _ID3]]}, None, id="vertex-int"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "degree": "3"}, None, id="degree-str"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[[], [0, "x", 2]]]}, None, id="table-str"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[[], [0, True, 2]]]}, None, id="table-bool"),
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "branches": [[[], "0", _ID3]] + _ELEMENT3["branches"][1:]},
-                 id="color-str"),
+                 None, id="color-str"),
     pytest.param("z-translations", {**_ELEMENT_Z, "core": [[[], {"shift": 0, "patch": 5}]]},
-                 id="patch-int"),
+                 None, id="patch-int"),
     pytest.param("z-translations", {**_ELEMENT_Z, "core": [[[], {"shift": "0", "patch": []}]]},
-                 id="shift-str"),
+                 None, id="shift-str"),
+    # a row of the wrong width is named by its field, not by Python's unpacking
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[[]]]}, "core", id="core-row-width"),
+    pytest.param("z-translations", {**_ELEMENT_Z, "core": [[[], {"shift": 0, "patch": [[1, 2, 3]]}]]},
+                 "patch", id="patch-pair-width"),
+    # the serialized degree must be that of the permutations
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "degree": 4}, "degree", id="degree-4-tables-3"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "degree": None}, "degree", id="degree-null-tables-3"),
 ])
-def test_classify_bad_element_exits_2(preset, element, capsys):
+def test_classify_bad_element_exits_2(preset, element, named, capsys):
     text = element if isinstance(element, str) else json.dumps(element)
     code, _, err = run_cli(["classify", "--preset", preset, "--element", text], capsys)
     assert code == 2
     assert err.startswith("error: ")
+    if named:
+        assert named in err
 
 
 @pytest.mark.parametrize("preset, element", [

@@ -59,7 +59,7 @@ def test_rotation_fixes_base_and_permutes_neighbors():
 
 def test_constructor_rejects_bad_portraits():
     with pytest.raises(PortraitError):
-        TreeAut((0,), {(0,): Perm.identity(3)}, deg=3)  # core missing the base vertex
+        TreeAut((0,), {(0,): Perm.identity(3)})  # core missing the base vertex
     with pytest.raises(PortraitError):
         # incompatible core edge: parent sends color 0 to 1, child fixes it
         TreeAut(
@@ -71,10 +71,9 @@ def test_constructor_rejects_bad_portraits():
                 ((0,), 1): Perm.identity(3),
                 ((0,), 2): Perm.identity(3),
             },
-            deg=3,
         )
     with pytest.raises(PortraitError):
-        TreeAut(V0, {V0: Perm.identity(3)}, {(V0, 0): Perm.identity(3)}, deg=3)  # frontier gaps
+        TreeAut(V0, {V0: Perm.identity(3)}, {(V0, 0): Perm.identity(3)})  # frontier gaps
 
 
 def test_evaluate_is_a_bijection_on_balls():
@@ -89,7 +88,7 @@ def test_canonicalize_absorbs_redundant_padding():
     g = TreeAut.from_constant(f, V0)
     core, branches, defaults = g.extended(enumerate_ball(V0, 2, range(3)))
     assert len(core) == 10
-    padded = TreeAut(g.base, core, branches, defaults, deg=g.deg)
+    padded = TreeAut(g.base, core, branches, defaults)
     assert padded.core == {V0: f}
     assert padded == g
     # every element is built canonical, and absorbing preserves evaluation
@@ -100,8 +99,8 @@ def test_canonicalize_absorbs_redundant_padding():
 
 def test_two_paddings_reach_the_same_canonical_form():
     g = random_element(G_CLASS, 2, seed=9)
-    p1 = TreeAut(g.base, *g.extended(enumerate_ball(V0, 3, range(3))), deg=g.deg)
-    p2 = TreeAut(g.base, *g.extended(enumerate_ball(V0, 4, range(3))), deg=g.deg)
+    p1 = TreeAut(g.base, *g.extended(enumerate_ball(V0, 3, range(3))))
+    p2 = TreeAut(g.base, *g.extended(enumerate_ball(V0, 4, range(3))))
     assert p1.key() == p2.key() == g.key()
     for v in ball3():
         assert p1.evaluate(v) == g.evaluate(v)
@@ -279,11 +278,36 @@ def test_constructor_rejects_defaults_off_the_core():
     z_id, f_id = Perm.identity(None), Perm.identity(3)
     full = {(V0, c): f_id for c in range(3)}
     with pytest.raises(PortraitError, match="default at non-core vertex"):
-        TreeAut(V0, {V0: z_id}, defaults={V0: z_id, (3,): z_id}, deg=None)
+        TreeAut(V0, {V0: z_id}, defaults={V0: z_id, (3,): z_id})
     with pytest.raises(PortraitError, match="default at non-core vertex"):
-        TreeAut(V0, {V0: f_id}, defaults={V0: f_id, (1,): f_id}, deg=3)
+        TreeAut(V0, {V0: f_id}, defaults={V0: f_id, (1,): f_id})
     # a fully listed frontier still has its default checked
     with pytest.raises(PortraitError, match="default at non-core vertex"):
-        TreeAut(V0, {V0: f_id}, full, defaults={(1,): f_id}, deg=3)
+        TreeAut(V0, {V0: f_id}, full, defaults={(1,): f_id})
     with pytest.raises(PortraitError, match="does not match degree"):
-        TreeAut(V0, {V0: f_id}, full, defaults={V0: z_id}, deg=3)
+        TreeAut(V0, {V0: f_id}, full, defaults={V0: z_id})
+
+
+@pytest.mark.parametrize("sigma, default", [
+    (Perm.identity(3), Perm.from_cycles(3, (0, 1))),
+    (Perm.identity(None), Perm.z_swap(0, 1)),
+], ids=["finite", "integer"])
+def test_default_must_agree_with_the_core_at_unlisted_frontier_colors(sigma, default):
+    # validated before a finite default is expanded, so both color sets
+    # reject it by the same rule and with the same message
+    with pytest.raises(PortraitError, match=r"breaks compatibility at colors \[0, 1\]"):
+        TreeAut(V0, {V0: sigma}, defaults={V0: default})
+
+
+@pytest.mark.parametrize("f, deg", [
+    (Perm.from_cycles(5, (0, 1, 2, 3, 4)), 5), (Perm.z_translation(2), None),
+], ids=["finite", "integer"])
+def test_degree_is_derived_from_the_core(f, deg):
+    g = TreeAut.from_constant(f, (0,))
+    assert g.deg == (g * g).deg == g.inverse().deg == deg
+
+
+def test_constructor_rejects_a_core_of_mixed_degrees():
+    core = {V0: Perm.identity(3), (0,): Perm.identity(4)}
+    with pytest.raises(PortraitError, match="does not match degree 3"):
+        TreeAut(V0, core, defaults=core)

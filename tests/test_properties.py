@@ -71,7 +71,7 @@ def _ball(g, radius=2):
 def test_canonical_is_idempotent(g):
     c = g.canonical()
     assert c.canonical() is c
-    rebuilt = TreeAut(c.base, c.core, c.branches, c.defaults, deg=c.deg)
+    rebuilt = TreeAut(c.base, c.core, c.branches, c.defaults)
     assert rebuilt.canonical() is rebuilt
     assert rebuilt.key() == c.key()
 
@@ -81,7 +81,7 @@ def test_canonical_is_idempotent(g):
 def test_extended_then_canonical_returns_the_key(g):
     core, branches, defaults = g.extended(_ball(g))
     assert all(core[v] == g.local_action(v) for v in core)
-    padded = TreeAut(g.base, core, branches, defaults, deg=g.deg)
+    padded = TreeAut(g.base, core, branches, defaults)
     assert padded.key() == g.key()
     assert all(padded.evaluate(v) == g.evaluate(v) for v in _ball(g, 3))
 
@@ -97,7 +97,7 @@ def test_finite_defaults_expand_to_the_explicit_frontier(g, radius):
         if cols:
             defaults[u] = g.local_action(u + (cols[-1],))
     sparse = {(u, c): f for (u, c), f in branches.items() if f != defaults[u]}
-    h = TreeAut(g.base, core, sparse, defaults, deg=g.deg)
+    h = TreeAut(g.base, core, sparse, defaults)
     assert h.branches == g.branches
     assert h.defaults == {}
     assert h == g
@@ -179,7 +179,7 @@ def reference_product(g, h):
         for c in colors:
             if (not u or c != u[-1]) and u + (c,) not in support:
                 branches[(u, c)] = rule(u + (c,))
-    return TreeAut(g.evaluate(h.base), core, branches, defaults, deg=g.deg)
+    return TreeAut(g.evaluate(h.base), core, branches, defaults)
 
 
 @PROPERTY
