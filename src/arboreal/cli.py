@@ -92,13 +92,12 @@ def _parse_element(text: str, gens: list[TreeAut], deg) -> TreeAut:
     for token in text.split():
         inverse = token.endswith("^-1")
         name = token[:-3] if inverse else token
-        if not name.startswith("g"):
+        if not (name.startswith("g") and name[1:].isdecimal()):
             raise ValueError(f"bad generator token {token!r}")
         idx = int(name[1:])
         if not 0 <= idx < len(gens):
             raise ValueError(f"generator index {idx} out of range (have {len(gens)})")
-        factor = gens[idx].inverse() if inverse else gens[idx]
-        el = el * factor
+        el = el * (gens[idx].inverse() if inverse else gens[idx])
     return el
 
 

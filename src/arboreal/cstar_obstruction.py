@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .dynamics import fixes_half_tree_pointwise, general_type_witness
+from .dynamics import distinct_letters, fixes_half_tree_pointwise, general_type_witness
 from .perm_groups import (
     Perm,
     PermGroup,
@@ -159,25 +159,15 @@ def orbit_truncate(
 
     Breadth-first over ray prefixes, never over group elements: the word
     (i,) + w maps the end to a_i(w(xi)), so layer k applies each letter of
-    the alphabet (gens[j] at 2j, its inverse at 2j+1) to the rays of layer
-    k-1, and each letter costs at most `margin` exact letters.  Two words of
-    length <= k whose rays agree on depth + (L-k) * margin letters reach the
-    same depth prefix under every extension to length L, so only the first
-    of them is kept.  A letter equal, as an element, to an earlier letter or
-    to the identity is skipped: its rays are those of the earlier letter, or
-    of the previous layer, all of them already seen.  Deduplication is
-    ray-prefix equality at the stated depth, so the point count is a lower
-    bound for the true orbit; a depth below the recorded heuristic bound only
-    raises a warning flag.
+    `distinct_letters` to the rays of layer k-1, and each letter costs at
+    most `margin` exact letters.  Two words of length <= k whose rays agree
+    on depth + (L-k) * margin letters reach the same depth prefix under
+    every extension to length L, so only the first of them is kept.
+    Deduplication is ray-prefix equality at the stated depth, so the point
+    count is a lower bound for the true orbit; a depth below the recorded
+    heuristic bound only raises a warning flag.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
-    letters: list[tuple[int, TreeAut]] = []
-    elements = {TreeAut.identity(gens[0].deg)}
-    for i, a in enumerate(a for g in gens for a in (g, g.inverse())):
-        if a not in elements:
-            elements.add(a)
-            letters.append((i, a))
+    letters = distinct_letters(gens)
     margin = max(len(g.base) for g in gens)
     bound = 2 * word_length * margin + len(xi.prefix) + len(xi.period)
     layer = [((), xi.ray_prefix(depth + (word_length + 2) * margin))]

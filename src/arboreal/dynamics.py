@@ -129,6 +129,23 @@ def fixes_half_tree_pointwise(g: TreeAut, h: DirectedEdge) -> bool:
 # -- products, independence witnesses, table tennis ---------------------------
 
 
+def distinct_letters(gens: list[TreeAut]) -> list[tuple[int, TreeAut]]:
+    """The alphabet of both word searches: (index, letter) for gens[i] at 2i
+    and its inverse at 2i+1, without each letter equal, as an element, to an
+    earlier one or to the identity.  A word through such a letter gives the
+    product, or the end image, of the word through the earlier letter or of
+    the word without it, and either search meets that word first."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    seen = {TreeAut.identity(gens[0].deg)}
+    letters = []
+    for i, a in enumerate(a for g in gens for a in (g, g.inverse())):
+        if a not in seen:
+            seen.add(a)
+            letters.append((i, a))
+    return letters
+
+
 def enumerate_products(gens: list[TreeAut], max_len: int):
     """All nontrivial products of the generators and their inverses up to the
     given length, deduplicated in canonical form, in deterministic
@@ -136,19 +153,14 @@ def enumerate_products(gens: list[TreeAut], max_len: int):
     alphabet indices (2i for gens[i], 2i+1 for its inverse), each word the
     (length, lex)-first one for its element.
 
-    Only those first words are extended: the first word of an element has as
-    its prefix the first word of that prefix's element, so extending any
-    other word could never yield.  From layer 2 on they are extended only by
-    the layer-1 elements, each distinct nontrivial letter at its first index:
-    a letter equal to an earlier one, or to the identity, only gives products
-    that the earlier letter, or the word itself, has already given."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    deg = gens[0].deg
-    letters = list(enumerate(a for g in gens for a in (g, g.inverse())))
-    seen = {TreeAut.identity(deg).key()}
-    layer: list[tuple[tuple[int, ...], TreeAut]] = [((), TreeAut.identity(deg))]
-    for n in range(max_len):
+    Only those first words are extended, and only by `distinct_letters`: the
+    first word of an element has as its prefix the first word of that
+    prefix's element, so extending any other word could never yield."""
+    letters = distinct_letters(gens)
+    identity = TreeAut.identity(gens[0].deg)
+    seen = {identity.key()}
+    layer: list[tuple[tuple[int, ...], TreeAut]] = [((), identity)]
+    for _ in range(max_len):
         nxt = []
         for word, el in layer:
             for i, a in letters:
@@ -157,8 +169,6 @@ def enumerate_products(gens: list[TreeAut], max_len: int):
                     seen.add(el2.key())
                     nxt.append((word + (i,), el2))
                     yield word + (i,), el2
-        if n == 0:
-            letters = [(i, a) for (i,), a in nxt]
         layer = nxt
 
 

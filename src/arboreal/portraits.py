@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 from .perm_groups import Perm, PermGroup, perm_disagreement
@@ -367,50 +367,35 @@ class TreeAut:
 
 @dataclass(frozen=True)
 class GroupClass:
-    """Which prescribed-local-action group an element is tested against.
+    """G(F, F'): local action in F' everywhere and in F at all but finitely
+    many vertices, which is U(F) when F' = F; with `star`, its subgroup
+    G(F, F')* of the elements that preserve the tree's bipartition."""
 
-    kind "U":  local action in F at every vertex (tested as "G" with F' = F).
-    kind "G":  local action in F' everywhere, in F at all but finitely many.
-    kind "G*": as "G", restricted to the bipartition-preserving subgroup.
-    kind "any": no restriction beyond the tree degree.
-    """
-
-    kind: str
-    F: PermGroup | None = None
-    Fp: PermGroup | None = None
-    degree: int | None = None
+    F: PermGroup
+    Fp: PermGroup
+    star: bool = False
 
     @staticmethod
     def universal(F: PermGroup) -> "GroupClass":
-        return GroupClass("U", F, F, F.degree)
+        return GroupClass(F, F)
 
     @staticmethod
     def prescribed(F: PermGroup, Fp: PermGroup) -> "GroupClass":
         if not Fp.contains_group(F):
             raise ValueError("the prescribed pair needs F <= F'")
-        return GroupClass("G", F, Fp, F.degree)
+        return GroupClass(F, Fp)
 
     @staticmethod
     def prescribed_star(F: PermGroup, Fp: PermGroup) -> "GroupClass":
-        if not Fp.contains_group(F):
-            raise ValueError("the prescribed pair needs F <= F'")
-        return GroupClass("G*", F, Fp, F.degree)
-
-    @staticmethod
-    def unrestricted(degree: int | None) -> "GroupClass":
-        return GroupClass("any", None, None, degree)
+        return replace(GroupClass.prescribed(F, Fp), star=True)
 
     def contains(self, g: TreeAut) -> bool:
-        if g.deg != self.degree:
+        if g.deg != self.F.degree:
             raise ValueError("element tree degree does not match the class")
-        if self.kind == "any":
-            return True
         tails = chain(g.branches.values(), g.defaults.values())
         ok = all(map(self.Fp.contains, g.core.values())) and all(map(self.F.contains, tails))
-        if self.kind == "G*":
-            # bipartition preserved iff the base vertex moves an even distance
-            ok = ok and len(g.base) % 2 == 0
-        return ok
+        # bipartition preserved iff the base vertex moves an even distance
+        return ok and not (self.star and len(g.base) % 2)
 
 
 # -- random and exhaustive element generation --------------------------------
@@ -424,20 +409,18 @@ def random_element(cls: GroupClass, core_radius: int, seed: int) -> TreeAut:
     forced to be constant by edge compatibility).
     """
     rng = random.Random(seed)
-    if cls.degree is None:
-        if cls.kind != "any" and cls.F.kind != "z_translations":
+    F, Fp, d = cls.F, cls.Fp, cls.F.degree
+    if d is None:
+        if F.kind != "z_translations":
             raise ValueError("integer-color random elements: translation family only")
         window = max(2, core_radius + 1)
         shift = rng.randint(-window, window)
         length = rng.randint(0, core_radius)
-        if cls.kind == "G*" and length % 2:
+        if cls.star and length % 2:
             length -= 1
         base = _random_reduced_word(rng, length, range(-window, window + 1))
         return TreeAut.from_constant(Perm.z_translation(shift), base)
 
-    d = cls.degree
-    F = cls.F if cls.kind != "any" else PermGroup.symmetric(d)
-    Fp = cls.Fp if cls.kind != "any" else F
     verts = {V0}
     layer = [V0]
     for _ in range(core_radius):
@@ -451,7 +434,7 @@ def random_element(cls: GroupClass, core_radius: int, seed: int) -> TreeAut:
                     verts.add(v)
                     nxt.append(v)
         layer = nxt
-    n_exc = rng.randint(0, 2) if cls.kind in ("G", "G*") else 0
+    n_exc = 0 if F.contains_group(Fp) else rng.randint(0, 2)
     exc = set(rng.sample(sorted(verts), min(n_exc, len(verts))))
     core: dict[Vertex, Perm] = {}
     for u in sorted(verts, key=lambda v: (len(v), v)):
@@ -475,7 +458,7 @@ def random_element(cls: GroupClass, core_radius: int, seed: int) -> TreeAut:
                 raise ValueError(f"no branch constant in F for ({u!r}, {c})")
             branches[(u, c)] = rng.choice(cand)
     length = rng.randint(0, core_radius)
-    if cls.kind == "G*" and length % 2:
+    if cls.star and length % 2:
         length -= 1
     base = _random_reduced_word(rng, length, range(d))
     g = TreeAut(base, core, branches)
@@ -626,22 +609,32 @@ def aut_to_data(g: TreeAut) -> dict:
 
 
 def aut_from_data(data) -> TreeAut:
-    """The element of `aut_to_data`; any other shape is bad input."""
+    """The element of `aut_to_data`; any other shape is bad input, and so is
+    a permutation of another degree than the serialized one or, at a finite
+    degree d, a vertex letter or branch color outside range(d)."""
     keys = ("degree", "base", "core", "branches")
     deg, base, core, branches = (require_key(data, k, "serialized element") for k in keys)
     if deg is not None:
         json_typed(deg, int, "element degree, if not null,")
 
-    def vertex(v) -> Vertex:
-        return tuple(_json_list(v, int, "vertex"))
+    def color(c, what: str) -> int:
+        json_typed(c, int, what)
+        if deg is not None and c not in range(deg):
+            raise ValueError(f"{what} {c} is outside range({deg})")
+        return c
 
-    core = {vertex(v): perm_from_data(p) for v, p in _json_list(core, list, "core", 2)}
-    branches = {(vertex(u), json_typed(c, int, "branch color")): perm_from_data(f)
+    def vertex(v, what: str) -> Vertex:
+        return tuple(color(c, f"{what} letter") for c in _json_list(v, int, what))
+
+    def perm(spec) -> Perm:
+        if (p := perm_from_data(spec)).degree != deg:
+            raise ValueError(f"element degree {json.dumps(deg)} does not match its permutations' "
+                             f"degree {json.dumps(p.degree)}")
+        return p
+
+    core = {vertex(v, "core vertex"): perm(p) for v, p in _json_list(core, list, "core", 2)}
+    branches = {(vertex(u, "branch vertex"), color(c, "branch color")): perm(f)
                 for u, c, f in _json_list(branches, list, "branches", 3)}
-    defaults = {vertex(v): perm_from_data(p)
+    defaults = {vertex(v, "defaults vertex"): perm(p)
                 for v, p in _json_list(data.get("defaults", []), list, "defaults", 2)}
-    g = TreeAut(vertex(base), core, branches, defaults)
-    if g.deg != deg:
-        raise ValueError(f"element degree {json.dumps(deg)} does not match its permutations' "
-                         f"degree {json.dumps(g.deg)}")
-    return g
+    return TreeAut(vertex(base, "base"), core, branches, defaults)

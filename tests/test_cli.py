@@ -178,6 +178,10 @@ _ELEMENT_Z = {"degree": None, "base": [], "core": [[[], _ZID]], "branches": [],
 
 @pytest.mark.parametrize("preset, element, named", [
     pytest.param("g-alt3-sym3", "q9", None, id="bad-word"),
+    # a generator token that is not g<index> is named whole, not by int()
+    pytest.param("g-alt3-sym3", "gx", "bad generator token 'gx'", id="token-gx"),
+    pytest.param("g-alt3-sym3", "g", "bad generator token 'g'", id="token-g"),
+    pytest.param("g-alt3-sym3", "g1^-1^-1", "bad generator token 'g1^-1^-1'", id="token-double-inverse"),
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": 5}, None, id="core-int"),
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "base": 5}, None, id="base-int"),
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[5, _ID3]]}, None, id="vertex-int"),
@@ -197,6 +201,13 @@ _ELEMENT_Z = {"degree": None, "base": [], "core": [[[], _ZID]], "branches": [],
     # the serialized degree must be that of the permutations
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "degree": 4}, "degree", id="degree-4-tables-3"),
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "degree": None}, "degree", id="degree-null-tables-3"),
+    # at a finite degree every vertex letter and branch color is in range(degree)
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "base": [5]}, "base", id="base-letter-5"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "base": [-1]}, "base", id="base-letter-negative"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": _ELEMENT3["core"] + [[[7], _ID3]]},
+                 "core vertex", id="core-vertex-letter-7"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "branches": _ELEMENT3["branches"] + [[[], 9, _ID3]]},
+                 "branch color", id="branch-color-9"),
 ])
 def test_classify_bad_element_exits_2(preset, element, named, capsys):
     text = element if isinstance(element, str) else json.dumps(element)

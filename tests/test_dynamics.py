@@ -143,7 +143,7 @@ def test_half_tree_fixation_agrees_with_ball_oracle():
 
     for s in range(80):
         # Sym(3) branch constants can fix an edge color without being trivial
-        cls = G_CLASS if s < 40 else GroupClass.unrestricted(3)
+        cls = G_CLASS if s < 40 else GroupClass.universal(SYM3)
         g = random_element(cls, 2, seed=5000 + s)
         for h in halves:
             decided = fixes_half_tree_pointwise(g, h)

@@ -2,6 +2,8 @@
 class membership, and the structural lemmas about edge fixators and torsion.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -267,11 +269,25 @@ def test_equality_matches_ball_evaluation_oracle():
 
 
 def test_unrestricted_class_accepts_everything_with_matching_degree():
-    cls = GroupClass.unrestricted(3)
+    cls = GroupClass.universal(SYM3)  # U(Sym(3)) holds every degree-3 element
     rot = TreeAut.from_constant(Perm.from_cycles(3, (1, 2)), V0)
     assert cls.contains(rot)
     g = random_element(cls, 2, seed=1)
     assert cls.contains(g)
+
+
+def test_random_element_draws_are_pinned():
+    # many seeded tests rest on this stream; a change to the draw order
+    # or to which vertices may take F' actions shows here first
+    z = PermGroup.z_translations()
+    classes = [G_CLASS, GroupClass.prescribed_star(ALT3, SYM3), U_ALT3, GroupClass.universal(SYM3),
+               GroupClass.universal(PermGroup.trivial(3)), GroupClass.prescribed_star(z, z)]
+    digest = hashlib.sha256()
+    for cls in classes:
+        for s in range(40):
+            data = aut_to_data(random_element(cls, 2, seed=s))
+            digest.update(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == "65637522f0ed3382811d948be297b336af6930fff234b9a478c0057e22060c4c"
 
 
 def test_constructor_rejects_defaults_off_the_core():
