@@ -18,7 +18,6 @@ groups.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 
 from .dynamics import distinct_letters, fixes_half_tree_pointwise, general_type_witness
 from .perm_groups import (
@@ -43,6 +42,7 @@ from .tree_core import (
     V0,
     DirectedEdge,
     PeriodicEnd,
+    Record,
     enumerate_ball,
     neighbor,
 )
@@ -133,8 +133,7 @@ def disjoint_support_pair(F: PermGroup, Fp: PermGroup, e: DirectedEdge) -> tuple
 # -- orbit truncation and the convolution identity ----------------------------
 
 
-@dataclass
-class OrbitTruncation:
+class OrbitTruncation(Record):
     """Products of the generators up to the word length, applied to the base
     end, with image rays deduplicated at the stated depth.
 
@@ -144,12 +143,12 @@ class OrbitTruncation:
     of every generator.  The point itself is ray[:depth].
     """
 
-    word_length: int
-    depth: int
-    margin: int
-    points: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    heuristic_bound: int
-    depth_warning: bool
+    __slots__ = ("word_length", "depth", "margin", "points", "heuristic_bound", "depth_warning")
+
+    def __init__(self, word_length: int, depth: int, margin: int,
+                 points: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                 heuristic_bound: int, depth_warning: bool):
+        super().__init__(word_length, depth, margin, points, heuristic_bound, depth_warning)
 
 
 def orbit_truncate(
@@ -221,14 +220,14 @@ def disjoint_support_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncation) -> bo
     return True
 
 
-@dataclass
-class AnnihilationReport:
+class AnnihilationReport(Record):
     """Point-by-point verdicts for the convolution identity
     delta_eta - delta_{b eta} - delta_{a eta} + delta_{ab eta} = 0."""
 
-    total: int
-    passed: int
-    failures: list[tuple[tuple[int, ...], str]]
+    __slots__ = ("total", "passed", "failures")
+
+    def __init__(self, total: int, passed: int, failures: list[tuple[tuple[int, ...], str]]):
+        super().__init__(total, passed, failures)
 
     @property
     def ok(self) -> bool:
@@ -260,11 +259,11 @@ def convolution_annihilation_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncatio
 # -- the fixator filtration ----------------------------------------------------
 
 
-@dataclass
-class FiltrationReport:
-    level: int
-    ok: bool
-    details: dict
+class FiltrationReport(Record):
+    __slots__ = ("level", "ok", "details")
+
+    def __init__(self, level: int, ok: bool, details: dict):
+        super().__init__(level, ok, details)
 
 
 def fixator_filtration_check(F: PermGroup, Fp: PermGroup, h: DirectedEdge, level: int) -> FiltrationReport:
@@ -399,25 +398,28 @@ def standard_generators(F: PermGroup) -> list[TreeAut]:
     return gens
 
 
-@dataclass
-class Certificate:
+_NEW_LIST = object()  # a default that stands for a new empty list
+
+
+class Certificate(Record):
     """The desk-scale evidence bundle: group data, the witness pair and its
     defining edge, orbit truncation parameters, per-stage check results, and
-    the depth caveats that qualify them."""
+    the depth caveats that qualify them.  `caveats` defaults to a new empty
+    list.  The fields, in order, are the keys of the serialized body besides
+    "version"."""
 
-    config: dict
-    group: dict
-    edge: dict
-    witness_a: dict | None
-    witness_b: dict | None
-    orbit: dict | None
-    checks: dict
-    caveats: list[str] = field(default_factory=list)
-    status: str = "VALID"
+    __slots__ = ("config", "group", "edge", "witness_a", "witness_b", "orbit", "checks",
+                 "caveats", "status")
+
+    def __init__(self, config: dict, group: dict, edge: dict, witness_a: dict | None,
+                 witness_b: dict | None, orbit: dict | None, checks: dict,
+                 caveats: list[str] = _NEW_LIST, status: str = "VALID"):
+        caveats = [] if caveats is _NEW_LIST else caveats
+        super().__init__(config, group, edge, witness_a, witness_b, orbit, checks, caveats, status)
 
     def to_dict(self) -> dict:
         # the field values themselves, not copies: callers only read them
-        return {"version": CERT_VERSION, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        return {"version": CERT_VERSION, **{name: getattr(self, name) for name in self.__slots__}}
 
 
 # the integer bounds of a config and their defaults
@@ -554,7 +556,7 @@ def parse_certificate(text: str) -> Certificate:
     if data.get("version") != CERT_VERSION:
         raise ValueError("certificate body version mismatch")
     return Certificate(
-        **{f.name: require_key(data, f.name, "certificate body") for f in fields(Certificate)}
+        **{name: require_key(data, name, "certificate body") for name in Certificate.__slots__}
     )
 
 

@@ -11,12 +11,12 @@ point w and translation length L.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .portraits import TreeAut
 from .tree_core import (
     V0,
     DirectedEdge,
+    FrozenRecord,
     Vertex,
     distance,
     geodesic,
@@ -26,20 +26,25 @@ from .tree_core import (
 )
 
 
-@dataclass(frozen=True)
-class Elliptic:
-    fixed_vertex: Vertex
+class Elliptic(FrozenRecord):
+    __slots__ = ("fixed_vertex",)
+
+    def __init__(self, fixed_vertex: Vertex):
+        super().__init__(fixed_vertex)
 
 
-@dataclass(frozen=True)
-class Inversion:
-    edge: DirectedEdge
+class Inversion(FrozenRecord):
+    __slots__ = ("edge",)
+
+    def __init__(self, edge: DirectedEdge):
+        super().__init__(edge)
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
-    length: int
-    axis_point: Vertex
+class Hyperbolic(FrozenRecord):
+    __slots__ = ("length", "axis_point")
+
+    def __init__(self, length: int, axis_point: Vertex):
+        super().__init__(length, axis_point)
 
 
 def classify_isometry(g: TreeAut):
@@ -223,16 +228,17 @@ def general_type_witness(gens: list[TreeAut], search_len: int):
     return None
 
 
-@dataclass(frozen=True)
-class FreeGroupCertificate:
+class FreeGroupCertificate(FrozenRecord):
     """Half-trees and verified inclusions witnessing that two hyperbolic
     elements (at the given power) play table tennis, hence generate a free
-    group of rank two."""
+    group of rank two.  The half-trees are h1+, h1-, h2+, h2-."""
 
-    power: int
-    half_trees: tuple[DirectedEdge, DirectedEdge, DirectedEdge, DirectedEdge]  # h1+, h1-, h2+, h2-
-    inclusions: tuple[str, ...] = field(default=())
-    end_depth: int = 0
+    __slots__ = ("power", "half_trees", "inclusions", "end_depth")
+
+    def __init__(self, power: int,
+                 half_trees: tuple[DirectedEdge, DirectedEdge, DirectedEdge, DirectedEdge],
+                 inclusions: tuple[str, ...] = (), end_depth: int = 0):
+        super().__init__(power, half_trees, inclusions, end_depth)
 
     def to_data(self) -> dict:
         return {

@@ -13,7 +13,7 @@ Amenability is never decided; group families carry a free-text
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class NotASubgroupError(ValueError):

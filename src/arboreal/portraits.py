@@ -27,14 +27,13 @@ automorphisms have equal stored maps.
 from __future__ import annotations
 
 import json
-import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import chain
 
 from .perm_groups import Perm, PermGroup, perm_disagreement
 from .tree_core import (
     V0,
+    FrozenRecord,
     Vertex,
     check_vertex,
     common_prefix_len,
@@ -320,14 +319,18 @@ class TreeAut:
 
     def inverse(self) -> "TreeAut":
         """The inverse automorphism: sigma(g^-1, g(v)) = sigma(g, v)^-1.
-        Computed once; the inverse keeps this element as its own inverse."""
+        Computed once; the inverse keeps this element as its own inverse.
+        The rules repeat a few permutations many times, so each distinct one
+        is inverted once."""
         if self._inv is None:
             base = self.preimage(V0)
             core, branches, defaults = self.extended([base])
             images = {u: self.evaluate(u) for u in core}
-            inv_core = {images[u]: sigma.inv() for u, sigma in core.items()}
-            inv_branches = {(images[u], core[u](c)): f.inv() for (u, c), f in branches.items()}
-            inv_defaults = {images[u]: f.inv() for u, f in defaults.items()}
+            rules = chain(core.values(), branches.values(), defaults.values())
+            inv = {p: p.inv() for p in dict.fromkeys(rules)}
+            inv_core = {images[u]: inv[sigma] for u, sigma in core.items()}
+            inv_branches = {(images[u], core[u](c)): inv[f] for (u, c), f in branches.items()}
+            inv_defaults = {images[u]: inv[f] for u, f in defaults.items()}
             self._inv = TreeAut(base, inv_core, inv_branches, inv_defaults)
             self._inv._inv = self
         return self._inv
@@ -365,15 +368,15 @@ class TreeAut:
 # -- group classes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupClass:
+class GroupClass(FrozenRecord):
     """G(F, F'): local action in F' everywhere and in F at all but finitely
     many vertices, which is U(F) when F' = F; with `star`, its subgroup
     G(F, F')* of the elements that preserve the tree's bipartition."""
 
-    F: PermGroup
-    Fp: PermGroup
-    star: bool = False
+    __slots__ = ("F", "Fp", "star")
+
+    def __init__(self, F: PermGroup, Fp: PermGroup, star: bool = False):
+        super().__init__(F, Fp, star)
 
     @staticmethod
     def universal(F: PermGroup) -> "GroupClass":
@@ -387,7 +390,8 @@ class GroupClass:
 
     @staticmethod
     def prescribed_star(F: PermGroup, Fp: PermGroup) -> "GroupClass":
-        return replace(GroupClass.prescribed(F, Fp), star=True)
+        plain = GroupClass.prescribed(F, Fp)
+        return GroupClass(plain.F, plain.Fp, star=True)
 
     def contains(self, g: TreeAut) -> bool:
         if g.deg != self.F.degree:
@@ -408,6 +412,8 @@ def random_element(cls: GroupClass, core_radius: int, seed: int) -> TreeAut:
     integers only the translation family is generated (its portraits are
     forced to be constant by edge compatibility).
     """
+    import random  # only here, so that importing the package leaves it unloaded
+
     rng = random.Random(seed)
     F, Fp, d = cls.F, cls.Fp, cls.F.degree
     if d is None:
@@ -586,14 +592,25 @@ def _json_list(value, item: type, what: str, width: int | None = None) -> list:
     return value
 
 
+def _unique_map(pairs, what: str) -> dict:
+    """dict(pairs), if no key repeats; else bad input, which a dict would
+    resolve silently in favour of the last entry."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"{what} entry {key!r} is listed twice")
+        out[key] = value
+    return out
+
+
 def perm_from_data(data) -> Perm:
     """A table of JSON integers, or an integer shift with a patch of integer
-    pairs; any other shape is bad input."""
+    pairs; any other shape, or a patch that lists a point twice, is bad input."""
     if isinstance(data, list):
         return Perm.from_table(_json_list(data, int, "permutation table"))
     shift, patch = (require_key(data, k, "integer-color permutation") for k in ("shift", "patch"))
     pairs = (_json_list(pair, int, "patch pair") for pair in _json_list(patch, list, "patch", 2))
-    return Perm.z_affine(json_typed(shift, int, "permutation shift"), dict(pairs))
+    return Perm.z_affine(json_typed(shift, int, "permutation shift"), _unique_map(pairs, "patch"))
 
 
 def aut_to_data(g: TreeAut) -> dict:
@@ -610,8 +627,9 @@ def aut_to_data(g: TreeAut) -> dict:
 
 def aut_from_data(data) -> TreeAut:
     """The element of `aut_to_data`; any other shape is bad input, and so is
-    a permutation of another degree than the serialized one or, at a finite
-    degree d, a vertex letter or branch color outside range(d)."""
+    a permutation of another degree than the serialized one, a core vertex,
+    frontier edge or defaults vertex listed twice or, at a finite degree d, a
+    vertex letter or branch color outside range(d)."""
     keys = ("degree", "base", "core", "branches")
     deg, base, core, branches = (require_key(data, k, "serialized element") for k in keys)
     if deg is not None:
@@ -632,9 +650,11 @@ def aut_from_data(data) -> TreeAut:
                              f"degree {json.dumps(p.degree)}")
         return p
 
-    core = {vertex(v, "core vertex"): perm(p) for v, p in _json_list(core, list, "core", 2)}
-    branches = {(vertex(u, "branch vertex"), color(c, "branch color")): perm(f)
-                for u, c, f in _json_list(branches, list, "branches", 3)}
-    defaults = {vertex(v, "defaults vertex"): perm(p)
-                for v, p in _json_list(data.get("defaults", []), list, "defaults", 2)}
+    core = _unique_map(((vertex(v, "core vertex"), perm(p))
+                        for v, p in _json_list(core, list, "core", 2)), "core")
+    branches = _unique_map((((vertex(u, "branch vertex"), color(c, "branch color")), perm(f))
+                            for u, c, f in _json_list(branches, list, "branches", 3)), "branches")
+    defaults = _unique_map(((vertex(v, "defaults vertex"), perm(p))
+                            for v, p in _json_list(data.get("defaults", []), list, "defaults", 2)),
+                           "defaults")
     return TreeAut(vertex(base, "base"), core, branches, defaults)

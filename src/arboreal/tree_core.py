@@ -14,10 +14,9 @@ explicit finite color window.  The tree itself is never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import repeat
 from operator import ne
-from typing import Iterable
 
 Vertex = tuple[int, ...]
 
@@ -99,16 +98,59 @@ def enumerate_ball(v: Vertex, r: int, window: Iterable[int]) -> set[Vertex]:
     return out
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
+class Record:
+    """A plain value type whose fields are its `__slots__`, in order.  The
+    subclass `__init__` passes the field values to this one in that order.
+    Two instances of one class are equal when their fields are, and the repr
+    is `Name(field=value, ...)`.  A record is mutable and so unhashable; a
+    `FrozenRecord` is neither."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A read-only record, hashed by its field values."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+
+class DirectedEdge(FrozenRecord):
     """The edge of the given color at the tail vertex, oriented tail -> head.
 
     It names the half-tree beyond it, the component of the tree minus the
     edge that contains the head; the reversed edge names the complement.
     """
 
-    tail: Vertex
-    color: int
+    __slots__ = ("tail", "color")
+
+    def __init__(self, tail: Vertex, color: int):
+        super().__init__(tail, color)
 
     @property
     def head(self) -> Vertex:

@@ -174,6 +174,7 @@ _ELEMENT3 = {"degree": 3, "base": [], "core": [[[], _ID3]],
 _ZID = {"shift": 0, "patch": []}
 _ELEMENT_Z = {"degree": None, "base": [], "core": [[[], _ZID]], "branches": [],
               "defaults": [[[], _ZID]]}
+_ZSWAP_TWICE = {"shift": 0, "patch": [[1, 2], [2, 1], [1, 2]]}  # the swap of 1 and 2
 
 
 @pytest.mark.parametrize("preset, element, named", [
@@ -208,6 +209,16 @@ _ELEMENT_Z = {"degree": None, "base": [], "core": [[[], _ZID]], "branches": [],
                  "core vertex", id="core-vertex-letter-7"),
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "branches": _ELEMENT3["branches"] + [[[], 9, _ID3]]},
                  "branch color", id="branch-color-9"),
+    # an entry listed twice is refused, not resolved in favour of the last one
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[[], [1, 0, 2]], [[], _ID3]]},
+                 "core entry () is listed twice", id="core-vertex-twice"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "branches": _ELEMENT3["branches"] + [[[], 0, _ID3]]},
+                 "branches entry ((), 0) is listed twice", id="frontier-edge-twice"),
+    pytest.param("z-translations", {**_ELEMENT_Z, "defaults": [[[], _ZID], [[], _ZID]]},
+                 "defaults entry () is listed twice", id="defaults-vertex-twice"),
+    pytest.param("z-translations", {**_ELEMENT_Z, "core": [[[], _ZSWAP_TWICE]],
+                                    "defaults": [[[], _ZSWAP_TWICE]]},
+                 "patch entry 1 is listed twice", id="patch-point-twice"),
 ])
 def test_classify_bad_element_exits_2(preset, element, named, capsys):
     text = element if isinstance(element, str) else json.dumps(element)
@@ -430,3 +441,15 @@ def test_package_root_and_cli_leave_piecewise_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == [[], False]
+
+
+def test_cli_import_leaves_heavy_stdlib_modules_unloaded():
+    # -S keeps the site module's .pth files, which may preload any of these,
+    # out of the result
+    probe = ("import arboreal.cli, sys\n"
+             "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'typing', 'random')"
+             " if m in sys.modules))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
