@@ -161,12 +161,16 @@ def orbit_truncate(
     `distinct_letters` to the rays of layer k-1, and each letter costs at
     most `margin` exact letters.  Two words of length <= k whose rays agree
     on depth + (L-k) * margin letters reach the same depth prefix under
-    every extension to length L, so only the first of them is kept.
-    Deduplication is ray-prefix equality at the stated depth, so the point
-    count is a lower bound for the true orbit; a depth below the recorded
-    heuristic bound only raises a warning flag.
+    every extension to length L, so only the first of them is kept.  No
+    letter is put before a word that starts with its inverse: the ray that
+    gives is the one of the word's tail, kept a layer earlier, so that
+    check would drop it anyway.  Deduplication is ray-prefix equality at the
+    stated depth, so the point count is a lower bound for the true orbit; a
+    depth below the recorded heuristic bound only raises a warning flag.
     """
     letters = distinct_letters(gens)
+    index = {a: i for i, a in letters}
+    inverse = {i: index[a.inverse()] for i, a in letters}
     margin = max(len(g.base) for g in gens)
     bound = 2 * word_length * margin + len(xi.prefix) + len(xi.period)
     layer = [((), xi.ray_prefix(depth + (word_length + 2) * margin))]
@@ -178,6 +182,8 @@ def orbit_truncate(
         nxt = []
         for i, a in letters:
             for word, ray in layer:
+                if word and inverse[word[0]] == i:
+                    continue
                 img = image_prefix(a, ray, carried)
                 key = img[:dedup]
                 if key not in seen:
@@ -211,23 +217,19 @@ def _check_margin(orbit: OrbitTruncation, *witnesses: TreeAut) -> None:
 
 def disjoint_support_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncation) -> bool:
     """True iff no truncated orbit point is moved by both a and b."""
-    _check_margin(orbit, a, b)
-    depth = orbit.depth
-    for _, ray in orbit.points:
-        eta = ray[:depth]
-        if image_prefix(a, ray, depth) != eta and image_prefix(b, ray, depth) != eta:
-            return False
-    return True
+    return not convolution_annihilation_check(a, b, orbit).overlaps
 
 
 class AnnihilationReport(Record):
     """Point-by-point verdicts for the convolution identity
-    delta_eta - delta_{b eta} - delta_{a eta} + delta_{ab eta} = 0."""
+    delta_eta - delta_{b eta} - delta_{a eta} + delta_{ab eta} = 0, and the
+    words of the points that both a and b move (empty for disjoint support)."""
 
-    __slots__ = ("total", "passed", "failures")
+    __slots__ = ("total", "passed", "failures", "overlaps")
 
-    def __init__(self, total: int, passed: int, failures: list[tuple[tuple[int, ...], str]]):
-        super().__init__(total, passed, failures)
+    def __init__(self, total: int, passed: int, failures: list[tuple[tuple[int, ...], str]],
+                 overlaps: list[tuple[int, ...]]):
+        super().__init__(total, passed, failures, overlaps)
 
     @property
     def ok(self) -> bool:
@@ -237,22 +239,31 @@ class AnnihilationReport(Record):
 def convolution_annihilation_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncation) -> AnnihilationReport:
     """Verify, at the truncation depth, that applying (1-a)(1-b) to each
     orbit point's basis vector gives zero: the multiset {eta, a b eta} must
-    equal {a eta, b eta}."""
+    equal {a eta, b eta}.  One pass per point computes a eta, b eta and
+    a b eta, and records the point's word if both a and b move it.
+
+    The first depth + |a.base| letters of a ray fix its first depth letters
+    under a (`image_prefix` is exact), so where b keeps those letters of the
+    point's ray, a b eta is a eta and costs no second evaluation."""
     _check_margin(orbit, a, b)
     depth = orbit.depth
-    failures = []
+    needed = depth + len(a.base)
+    failures, overlaps = [], []
     for word, ray in orbit.points:
         eta = ray[:depth]
         a_eta = image_prefix(a, ray, depth)
         b_ray = image_prefix(b, ray, len(ray) - len(b.base))
-        ab_eta = image_prefix(a, b_ray, depth)
         b_eta = b_ray[:depth]
+        ab_eta = a_eta if b_ray[:needed] == ray[:needed] else image_prefix(a, b_ray, depth)
+        if a_eta != eta and b_eta != eta:
+            overlaps.append(word)
         if sorted([eta, ab_eta]) != sorted([a_eta, b_eta]):
             failures.append((word, f"{eta} -> {a_eta}, {b_eta}, {ab_eta}"))
     return AnnihilationReport(
         total=len(orbit.points),
         passed=len(orbit.points) - len(failures),
         failures=failures,
+        overlaps=overlaps,
     )
 
 
@@ -424,12 +435,16 @@ class Certificate(Record):
 
 # the integer bounds of a config and their defaults
 _BOUND_DEFAULTS = {"word_length": 3, "depth": 16, "seed": 0, "search_len": 3}
+# the largest accepted bounds: the orbit grows about fivefold per letter, and
+# word_length 6 on wreath-z3-z2 already takes about 2 s (2-core Xeon, Python 3.11)
+_BOUND_CAPS = {"word_length": 6, "depth": 64, "search_len": 4}
 
 
 def normalize_config(config: dict) -> dict:
     """The config with every key filled in.  A config that is not a JSON
-    object, or a bound that is not a JSON integer (null, a boolean, a float
-    or a string), is bad input: a ValueError."""
+    object, a bound that is not a JSON integer (null, a boolean, a float or
+    a string), or a bound below 1 or above its cap in `_BOUND_CAPS` is bad
+    input: a ValueError, raised before any group is built."""
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {json.dumps(config, default=repr)}")
     group_source(config)  # on the raw config: the copy below drops free_product
@@ -438,6 +453,9 @@ def normalize_config(config: dict) -> dict:
         out[key] = json_typed(config.get(key, default), int, key)
     if min(out["word_length"], out["depth"], out["search_len"]) < 1:
         raise ValueError("numeric bounds must be positive")
+    for key, cap in _BOUND_CAPS.items():
+        if out[key] > cap:
+            raise ValueError(f"{key} must be at most {cap}, got {out[key]}")
     return out
 
 
@@ -512,13 +530,11 @@ def build_certificate(config: dict) -> Certificate:
             f"depth {orbit.depth} below the heuristic bound {orbit.heuristic_bound}"
         )
 
-    disjoint = disjoint_support_check(a, b, orbit)
-    cert.checks["disjoint_support"] = disjoint
-    if not disjoint:
+    report = convolution_annihilation_check(a, b, orbit)
+    cert.checks["disjoint_support"] = not report.overlaps
+    if report.overlaps:
         cert.status = "INVALID:disjoint_support"
         return cert
-
-    report = convolution_annihilation_check(a, b, orbit)
     cert.checks["annihilation"] = {
         "total": report.total,
         "passed": report.passed,

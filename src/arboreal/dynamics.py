@@ -73,23 +73,53 @@ def classify_isometry(g: TreeAut):
 
 
 def _axis_ray(element: TreeAut, start: Vertex, length: int, depth: int) -> Vertex:
-    """The first `depth` letters of the end that the forward orbit of `start`
-    converges to, for `start` on the axis and translation length `length`.
+    """The first `depth` letters of the end xi that the forward orbit of
+    `start` converges to, for `start` on the axis and translation length
+    `length` (L below).
 
-    The projection p of the base vertex onto the axis lies on the geodesic
-    from `start` to the base vertex, so d(start, p) <= |start|.  Once
-    k * length >= |start| + depth, the word of element^k(start) runs through
-    p and then along the axis past p for at least `depth` letters, so it is
-    a prefix of the limit ray of at least that length.  Walking
-    ceil((|start| + depth) / length) + 1 steps makes both of the last two
-    orbit words such prefixes; their agreement is still asserted.
+    The walk.  The projection p of the base vertex onto the axis lies on
+    the geodesic from `start` to the base vertex, so d(start, p) <= |start|.
+    Once k * L >= |start| + d, the word of element^k(start) runs through p
+    and then along the axis past p for at least d letters, so it is a prefix
+    of xi of at least that length.  Walking ceil((|start| + d) / L) + 1
+    steps makes both of the last two orbit words such prefixes; their
+    agreement is still asserted.  The walk runs only to
+    d = min(depth, d0), where d0 = max(|start|, m + 1) + L and m is the
+    longest core vertex.
+
+    The recurrence.  Let x0 = d0 - L.  For i >= x0 the vertex xi[:i] lies
+    on the axis beyond p (i >= |start| >= |p|), so the element maps it to
+    xi[:i+L] and its edge of color xi[i] to the edge of color xi[i+L]:
+    xi[i+L] = sigma(element, xi[:i])(xi[i]).  And xi[:i] lies outside the
+    core (i > m), in the branch that xi[:x0] lies in, so that local action is
+    the branch constant f at xi[:x0].  Hence xi[i+L] = f(xi[i]) extends the
+    walked prefix to any depth D, one letter at a time.
+
+    The certificate.  The prefix is checked with one evaluation: the element
+    must map v = xi[:D-L] to xi[:D].  A vertex that a hyperbolic element
+    moves by exactly L lies on its axis, and so does its image.  The image
+    extends v, so the geodesic from the base vertex to it meets the axis at
+    p and then runs along it through v to the image, in the direction of
+    translation: xi[:D] is a prefix of the attracting end's ray, whatever
+    the recurrence computed.  A failed check raises AssertionError.
     """
+    d0 = max(len(start), max(map(len, element.core)) + 1) + length
+    walked = min(depth, d0)
     prev = cur = start
-    for _ in range(-(-(len(start) + depth) // length) + 1):
+    for _ in range(-(-(len(start) + walked) // length) + 1):
         prev, cur = cur, element.evaluate(cur)
-    if len(cur) < depth or cur[:depth] != prev[:depth]:
+    if len(cur) < walked or cur[:walked] != prev[:walked]:
         raise AssertionError("axis ray prefix failed to stabilize")
-    return cur[:depth]
+    if depth <= d0:
+        return cur[:depth]
+    ray = list(cur[:d0])
+    f = element.local_action(ray[: d0 - length])
+    for i in range(d0 - length, depth - length):
+        ray.append(f(ray[i]))
+    ray = tuple(ray)
+    if element.evaluate(ray[: depth - length]) != ray:
+        raise AssertionError("axis ray recurrence failed its certificate")
+    return ray
 
 
 def axis_and_ends(g: TreeAut, depth: int) -> tuple[Vertex, Vertex]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from arboreal.cli import main
+from arboreal.cstar_obstruction import normalize_config
 
 
 def run_cli(argv, capsys):
@@ -332,6 +333,45 @@ def test_search_len_below_1_is_a_config_error(tmp_path, capsys):
         assert code == 2
         assert "error: numeric bounds must be positive" in err
         assert not out.exists()
+
+
+CAPS = {"word_length": 6, "depth": 64, "search_len": 4}
+
+
+@pytest.mark.parametrize("command", ["certify", "orbit", "verify"])
+@pytest.mark.parametrize("key, value", [(key, cap + 1) for key, cap in CAPS.items()]
+                         + [("word_length", 100)])
+def test_bound_above_its_cap_exits_2_before_any_group_is_built(
+        tmp_path, capsys, monkeypatch, command, key, value):
+    out = tmp_path / "c.txt"
+    if command == "verify":
+        run_cli(["certify", "--preset", "g-alt3-sym3", "--word-length", "2", "--out", str(out)],
+                capsys)
+        header, _, body = out.read_text().partition("\n")
+        data = json.loads(body)
+        data["config"][key] = value
+        out.write_text(header + "\n" + json.dumps(data) + "\n")
+        argv = ["verify", str(out)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "g-alt3-sym3", key: value}))
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+
+    def no_groups(config):
+        raise AssertionError("groups built for an oversized config")
+
+    monkeypatch.setattr("arboreal.cli.resolve_groups", no_groups)
+    monkeypatch.setattr("arboreal.cstar_obstruction.resolve_groups", no_groups)
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {key} must be at most {CAPS[key]}, got {value}\n"
+    assert command == "verify" or not out.exists()
+
+
+@pytest.mark.parametrize("key", sorted(CAPS))
+def test_bound_at_its_cap_is_accepted(key):
+    config = normalize_config({"preset": "g-alt3-sym3", key: CAPS[key]})
+    assert config[key] == CAPS[key]
 
 
 def test_groups_spec_without_F_exits_2(tmp_path, capsys):

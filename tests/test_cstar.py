@@ -1,11 +1,16 @@
 """Witness construction, orbit truncation, the convolution identity, the
 fixator filtration, and certificate round-trips."""
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arboreal import cstar_obstruction
 from arboreal.cstar_obstruction import (
+    OrbitTruncation,
     build_certificate,
     convolution_annihilation_check,
     disjoint_support_check,
@@ -21,7 +26,14 @@ from arboreal.cstar_obstruction import (
 )
 from arboreal.dynamics import fixes_half_tree_pointwise
 from arboreal.perm_groups import Perm, PermGroup
-from arboreal.portraits import GroupClass, TreeAut, aut_from_data, end_image_prefix
+from arboreal.portraits import (
+    GroupClass,
+    TreeAut,
+    aut_from_data,
+    end_image_prefix,
+    image_prefix,
+    random_element,
+)
 from arboreal.tree_core import V0, DirectedEdge, PeriodicEnd, half_tree
 
 ALT3 = PermGroup.alternating(3)
@@ -136,6 +148,34 @@ def test_orbit_truncation_matches_independent_enumerator():
                 assert end_image_prefix(el, xi, len(ray)) == ray
 
 
+def word_element(gens, word):
+    el = TreeAut.identity(gens[0].deg)
+    for i in word:
+        el = el * (gens[i // 2] if i % 2 == 0 else gens[i // 2].inverse())
+    return el
+
+
+RANDOM_CLASSES = [GroupClass.prescribed(ALT3, SYM3), GroupClass.universal(SYM3)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_orbit_truncation_matches_independent_enumerator_on_random_generators(data):
+    # every letter's inverse is in the alphabet, so each layer from the second
+    # on meets words that a cancelling letter would send back a layer
+    cls = data.draw(st.sampled_from(RANDOM_CLASSES))
+    seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=4))
+    gens = [random_element(cls, 2, seed) for seed in seeds]
+    length = data.draw(st.integers(2, 3))
+    xi = PeriodicEnd((), (0, 1))
+    for depth in (3, 16):
+        orbit = orbit_truncate(gens, xi, length, depth)
+        expected = independent_orbit_enumeration(gens, xi, length, depth)
+        assert [(w, ray[:depth]) for w, ray in orbit.points] == expected
+        for word, ray in orbit.points:
+            assert end_image_prefix(word_element(gens, word), xi, len(ray)) == ray
+
+
 def test_orbit_truncation_trivial_cases():
     xi = PeriodicEnd((), (0, 1))
     gens = [TreeAut.identity(3)]
@@ -172,6 +212,70 @@ def test_disjoint_support_check_detects_overlap():
     assert not disjoint_support_check(a, a, orbit)
     # an identity side is disjoint from anything
     assert disjoint_support_check(TreeAut.identity(3), a, orbit)
+
+
+def reference_annihilation(a, b, orbit):
+    """The failures and overlaps of the point checks with a eta, b eta and
+    a b eta each from its own evaluation, and a b eta through the product."""
+    depth, ab = orbit.depth, a * b
+    failures, overlaps = [], []
+    for word, ray in orbit.points:
+        eta = ray[:depth]
+        a_eta, b_eta = image_prefix(a, ray, depth), image_prefix(b, ray, depth)
+        ab_eta = image_prefix(ab, ray, depth)
+        if a_eta != eta and b_eta != eta:
+            overlaps.append(word)
+        if sorted([eta, ab_eta]) != sorted([a_eta, b_eta]):
+            failures.append(word)
+    return failures, overlaps
+
+
+def test_annihilation_report_overlaps_are_the_points_both_sides_move():
+    e = DirectedEdge(V0, 0)
+    a, b = disjoint_support_pair(ALT3, SYM3, e)
+    gens = [a] + standard_generators(ALT3)
+    orbit = orbit_truncate(gens, PeriodicEnd((), (0, 1)), 2, 14)
+    glide = gens[-1]
+    pairs = [(a, a), (TreeAut.identity(3), a), (a, b), (b, a), (a, glide), (glide, b)]
+    for x, y in pairs:
+        report = convolution_annihilation_check(x, y, orbit)
+        failures, overlaps = reference_annihilation(x, y, orbit)
+        assert report.overlaps == overlaps
+        assert [w for w, _ in report.failures] == failures
+        assert report.total == len(orbit.points) and report.passed == report.total - len(failures)
+        assert disjoint_support_check(x, y, orbit) == (not overlaps)
+    assert convolution_annihilation_check(a, a, orbit).overlaps
+    assert convolution_annihilation_check(TreeAut.identity(3), a, orbit).overlaps == []
+    assert convolution_annihilation_check(a, b, orbit).overlaps == []
+    # a pair that breaks the identity, so the failure words are tested too
+    assert convolution_annihilation_check(a, glide, orbit).failures
+
+
+def test_annihilation_reads_the_letters_past_the_depth_that_a_needs():
+    # b fixes the first three letters of the point and changes the fourth;
+    # the glide a cancels two letters, so a b eta is not a eta although
+    # b eta is eta at depth 3
+    a = TreeAut.from_constant(Perm.identity(3), (0, 1))
+    b = fixator_witness(ALT3, SYM3, DirectedEdge((1, 0, 2), 2))
+    ray = (1, 0, 2, 1, 0, 1, 0, 1, 0, 1)
+    orbit = OrbitTruncation(1, 3, 2, [((), ray)], 0, False)
+    report = convolution_annihilation_check(a, b, orbit)
+    assert [w for w, _ in report.failures] == reference_annihilation(a, b, orbit)[0] == [()]
+    assert report.failures[0][1] == "(1, 0, 2) -> (2, 1, 0), (1, 0, 2), (2, 0, 2)"
+
+
+def test_overlapping_witnesses_give_the_pinned_disjoint_support_certificate(monkeypatch):
+    # the same fixator on both sides, with the fixation stage passed, fails
+    # at disjoint support: the body is the one the two-pass pipeline wrote
+    a, _ = disjoint_support_pair(ALT3, SYM3, DirectedEdge(V0, 0))
+    monkeypatch.setattr(cstar_obstruction, "disjoint_support_pair", lambda F, Fp, e: (a, a))
+    monkeypatch.setattr(cstar_obstruction, "fixes_half_tree_pointwise", lambda g, h: True)
+    cert = build_certificate({"preset": "g-alt3-sym3"})
+    assert cert.status == "INVALID:disjoint_support"
+    assert cert.checks["disjoint_support"] is False and "annihilation" not in cert.checks
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "97ff7905821fec885e290dca17206758f72454a9bd4b2960fd1eafc9a3abe288")
 
 
 def test_orbit_checks_refuse_witnesses_beyond_the_margin():

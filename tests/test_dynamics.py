@@ -436,3 +436,80 @@ def test_axis_walk_length_is_tight_from_behind_the_projection():
     g = TreeAut.from_constant(IDENT3, (0, 1))
     assert _axis_ray(g, (1, 0) * 3, 2, 8) == (0, 1) * 4
     assert _axis_ray(g.inverse(), (0, 1) * 3, 2, 8) == (1, 0) * 4
+
+
+def recurrence_runs(g, start, length, depth):
+    """True when `_axis_ray` extends its walk by the branch recurrence: the
+    depth lies past max(|start|, longest core vertex + 1) + L."""
+    return depth > max(len(start), max(map(len, g.core)) + 1) + length
+
+
+def assert_axis_certified(g, ray, length):
+    # g moves ray[:D-L] by exactly L onto ray, so ray is an axis ray prefix
+    assert g.evaluate(ray[: len(ray) - length]) == ray
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_axis_rays_past_the_short_walk_match_the_long_walk(name):
+    # z-translations has integer colors, where the branch constant is a
+    # callable permutation without a table
+    runs = 0
+    for _, el in enumerate_products(generator_set(name), 3):
+        cls = classify_isometry(el)
+        if isinstance(cls, Hyperbolic):
+            for depth in (36, 64):
+                att, rep = axis_and_ends(el, depth)
+                assert (att, rep) == reference_axis_and_ends(el, depth)
+                assert_axis_certified(el, att, cls.length)
+                assert_axis_certified(el.inverse(), rep, cls.length)
+                runs += recurrence_runs(el, cls.axis_point, cls.length, depth)
+    assert runs > 0
+
+
+def test_axis_rays_of_the_conjugated_glide_past_the_short_walk():
+    b = TreeAut.from_constant(IDENT3, (2, 0, 2))
+    g = b * TreeAut.from_constant(IDENT3, (0, 1)) * b.inverse()
+    w = classify_isometry(g).axis_point
+    for depth in (36, 64):
+        assert recurrence_runs(g, w, 2, depth)
+        att, rep = axis_and_ends(g, depth)
+        assert (att, rep) == reference_axis_and_ends(g, depth)
+        assert att == ((2, 0, 2) + (0, 1) * depth)[:depth]
+        assert rep == ((2, 0, 2) + (1, 0) * depth)[:depth]
+        assert_axis_certified(g, att, 2)
+        assert_axis_certified(g.inverse(), rep, 2)
+
+
+def test_axis_rays_from_behind_the_projection_past_the_short_walk():
+    g = TreeAut.from_constant(IDENT3, (0, 1))
+    for depth in (36, 64):
+        for el, start, ray in [(g, (1, 0) * 3, (0, 1) * (depth // 2)),
+                               (g.inverse(), (0, 1) * 3, (1, 0) * (depth // 2))]:
+            assert recurrence_runs(el, start, 2, depth)
+            assert _axis_ray(el, start, 2, depth) == ray
+            assert_axis_certified(el, ray, 2)
+
+
+def test_axis_ray_with_a_non_involutive_branch_constant():
+    # past the core the rotation maps the tail letter by letter, so the ray
+    # is periodic with the rotation's orbit, not with a two-letter period
+    g = TreeAut.from_constant(ROT, (0,)) * TreeAut.from_constant(IDENT3, (0, 1))
+    cls = classify_isometry(g)
+    assert isinstance(cls, Hyperbolic)
+    for depth in (36, 64):
+        assert recurrence_runs(g, cls.axis_point, cls.length, depth)
+        att, rep = axis_and_ends(g, depth)
+        assert (att, rep) == reference_axis_and_ends(g, depth)
+        assert_axis_certified(g, att, cls.length)
+        assert_axis_certified(g.inverse(), rep, cls.length)
+
+
+def test_axis_ray_certificate_failure_is_an_internal_error(monkeypatch):
+    # the recurrence driven by the inverse of the true branch constant: the
+    # certificate refuses the prefix it builds
+    g = TreeAut.from_constant(ROT, (0,)) * TreeAut.from_constant(IDENT3, (0, 1))
+    cls = classify_isometry(g)
+    local_action = TreeAut.local_action
+    monkeypatch.setattr(TreeAut, "local_action", lambda self, v: local_action(self, v).inv())
+    with pytest.raises(AssertionError, match="certificate"):
+        _axis_ray(g, cls.axis_point, cls.length, 64)

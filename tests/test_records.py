@@ -37,7 +37,8 @@ RECORDS = [
     (GroupClass, ("F", "Fp", "star"), (ALT3, SYM3, True), {"star": False}, True),
     (OrbitTruncation, ("word_length", "depth", "margin", "points", "heuristic_bound",
                        "depth_warning"), (2, 8, 1, [((), (0, 1))], 6, False), {}, False),
-    (AnnihilationReport, ("total", "passed", "failures"), (3, 2, [((1,), "x")]), {}, False),
+    (AnnihilationReport, ("total", "passed", "failures", "overlaps"),
+     (3, 2, [((1,), "x")], [(1,)]), {}, False),
     (FiltrationReport, ("level", "ok", "details"), (1, True, {"hits": {}}), {}, False),
     (Certificate, CERT_FIELDS, ({"preset": "p"}, {"label": "G"}, {"color": 0}, None, None, None,
                                 {"commute": True}, ["c"], "INVALID:commute"),
@@ -107,7 +108,8 @@ def test_repr_examples():
     assert repr(DirectedEdge((0,), 1)) == "DirectedEdge(tail=(0,), color=1)"
     assert repr(Hyperbolic(2, ())) == "Hyperbolic(length=2, axis_point=())"
     assert repr(Inversion(E0)) == "Inversion(edge=DirectedEdge(tail=(), color=0))"
-    assert repr(AnnihilationReport(1, 1, [])) == "AnnihilationReport(total=1, passed=1, failures=[])"
+    assert repr(AnnihilationReport(1, 1, [], [])) == (
+        "AnnihilationReport(total=1, passed=1, failures=[], overlaps=[])")
 
 
 def test_certificate_default_caveats_are_a_new_list_each_time():
