@@ -31,7 +31,7 @@ from .cstar_obstruction import (
 )
 from .dynamics import Elliptic, Inversion, classify_isometry
 from .perm_groups import point_stabilizer
-from .portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, require_key
+from .portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, decode_json, require_key
 from .tree_core import V0, DirectedEdge, PeriodicEnd
 
 
@@ -68,7 +68,7 @@ def _load_config(args) -> dict:
     config: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            config = json.load(fh)
+            config = decode_json(fh.read(), "config file")
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
     if getattr(args, "preset", None):
@@ -87,7 +87,7 @@ def _parse_element(text: str, gens: list[TreeAut], deg) -> TreeAut:
     if text == "identity":
         return TreeAut.identity(deg)
     if text.startswith("{"):
-        return aut_from_data(json.loads(text))
+        return aut_from_data(decode_json(text, "--element"))
     el = TreeAut.identity(deg)
     for token in text.split():
         inverse = token.endswith("^-1")

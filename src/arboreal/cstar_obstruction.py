@@ -33,6 +33,7 @@ from .portraits import (
     GroupClass,
     TreeAut,
     aut_to_data,
+    decode_json,
     enumerate_branch_constant,
     image_prefix,
     json_typed,
@@ -566,7 +567,7 @@ def parse_certificate(text: str) -> Certificate:
     header, _, body = text.partition("\n")
     if header.strip() != CERT_VERSION:
         raise ValueError(f"unsupported certificate version {header.strip()!r}")
-    data = json.loads(body)
+    data = decode_json(body, "certificate body")
     if not isinstance(data, dict):
         raise ValueError("certificate body must be a JSON object")
     if data.get("version") != CERT_VERSION:

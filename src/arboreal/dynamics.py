@@ -1,6 +1,6 @@
 """Classification of tree isometries and the dynamics built on it: axes and
-their boundary ends, pointwise fixation of half-trees, independent-hyperbolic
-witnesses, and table-tennis certificates for free subgroups.
+their boundary ends, pointwise fixation of half-trees, and
+independent-hyperbolic witnesses.
 
 Every returned classification is certified by the defining identities: a
 fixed vertex for elliptic elements, a swapped edge for inversions, and
@@ -21,8 +21,6 @@ from .tree_core import (
     distance,
     geodesic,
     half_tree_contains,
-    half_tree_subset,
-    half_trees_disjoint,
 )
 
 
@@ -161,7 +159,7 @@ def fixes_half_tree_pointwise(g: TreeAut, h: DirectedEdge) -> bool:
     return g.evaluate(h.head) == h.head and all(p.is_identity() for p in perms)
 
 
-# -- products, independence witnesses, table tennis ---------------------------
+# -- products and independence witnesses -------------------------------------
 
 
 def distinct_letters(gens: list[TreeAut]) -> list[tuple[int, TreeAut]]:
@@ -255,84 +253,4 @@ def general_type_witness(gens: list[TreeAut], search_len: int):
                 return hyperbolics[i], hyperbolics[j]
             j += 1
         i += 1
-    return None
-
-
-class FreeGroupCertificate(FrozenRecord):
-    """Half-trees and verified inclusions witnessing that two hyperbolic
-    elements (at the given power) play table tennis, hence generate a free
-    group of rank two.  The half-trees are h1+, h1-, h2+, h2-."""
-
-    __slots__ = ("power", "half_trees", "inclusions", "end_depth")
-
-    def __init__(self, power: int,
-                 half_trees: tuple[DirectedEdge, DirectedEdge, DirectedEdge, DirectedEdge],
-                 inclusions: tuple[str, ...] = (), end_depth: int = 0):
-        super().__init__(power, half_trees, inclusions, end_depth)
-
-    def to_data(self) -> dict:
-        return {
-            "power": self.power,
-            "half_trees": [
-                {"tail": list(h.tail), "color": h.color} for h in self.half_trees
-            ],
-            "inclusions": list(self.inclusions),
-            "end_depth": self.end_depth,
-        }
-
-
-def _image_half_tree(t: TreeAut, h: DirectedEdge) -> DirectedEdge:
-    return DirectedEdge(t.evaluate(h.tail), t.local_action(h.tail)(h.color))
-
-
-def _maps_complement_into(t: TreeAut, h_from: DirectedEdge, h_to: DirectedEdge) -> bool:
-    """Check t(T minus h_from) is inside h_to, exactly, on half-tree edges."""
-    return half_tree_subset(_image_half_tree(t, h_from.reversed()), h_to)
-
-
-def ping_pong_certificate(g1: TreeAut, g2: TreeAut, power: int):
-    """Find four pairwise-disjoint half-trees around the two axes such that
-    the given powers map the complement of each repelling half-tree into the
-    matching attracting one.  Returns None when no configuration exists at
-    this power (a caller may raise the power); precondition violations raise.
-    """
-    if power < 1:
-        raise ValueError("power must be positive")
-    cls1, cls2 = classify_isometry(g1), classify_isometry(g2)
-    if not isinstance(cls1, Hyperbolic) or not isinstance(cls2, Hyperbolic):
-        raise ValueError("both elements must be hyperbolic")
-    reach = 2 * power * max(cls1.length, cls2.length) + 8
-    depth = reach + 2
-    rays = axis_and_ends(g1, depth) + axis_and_ends(g2, depth)
-    if len(set(rays)) < 4:
-        raise ValueError("end pairs coincide; no table-tennis configuration")
-    t1 = g1**power
-    t2 = g2**power
-    t1i, t2i = t1.inverse(), t2.inverse()
-
-    def edge_at(ray: Vertex, r: int) -> DirectedEdge:
-        return DirectedEdge(ray[: r - 1], ray[r - 1])
-
-    radii = itertools.product(range(1, reach + 1), repeat=4)
-    for rs in sorted(radii, key=lambda rs: (sum(rs), rs)):
-        hs = tuple(edge_at(ray, r) for ray, r in zip(rays, rs))
-        if any(
-            not half_trees_disjoint(hs[i], hs[j])
-            for i in range(4)
-            for j in range(i + 1, 4)
-        ):
-            continue
-        checks = [
-            ("g1^p maps complement of h1- into h1+", t1, hs[1], hs[0]),
-            ("g1^-p maps complement of h1+ into h1-", t1i, hs[0], hs[1]),
-            ("g2^p maps complement of h2- into h2+", t2, hs[3], hs[2]),
-            ("g2^-p maps complement of h2+ into h2-", t2i, hs[2], hs[3]),
-        ]
-        if all(_maps_complement_into(t, a, b) for _, t, a, b in checks):
-            return FreeGroupCertificate(
-                power=power,
-                half_trees=hs,
-                inclusions=tuple(name for name, *_ in checks),
-                end_depth=depth,
-            )
     return None

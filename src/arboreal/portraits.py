@@ -335,14 +335,6 @@ class TreeAut:
             self._inv._inv = self
         return self._inv
 
-    def __pow__(self, n: int) -> "TreeAut":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = TreeAut.identity(self.deg)
-        for _ in range(n):
-            out = self * out
-        return out
-
     def is_identity(self) -> bool:
         rules = chain(self.core.values(), self.branches.values(), self.defaults.values())
         return self.base == V0 and len(self.core) == 1 and all(p.is_identity() for p in rules)
@@ -569,6 +561,15 @@ def require_key(spec, key: str, what: str):
     if not isinstance(spec, dict) or key not in spec:
         raise ValueError(f"{what} must be an object with the key {key!r}")
     return spec[key]
+
+
+def decode_json(text: str, what: str):
+    """The JSON value in `text`.  Text nested too deeply for the decoder is
+    bad input, a ValueError naming `what`, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to decode") from None
 
 
 def json_typed(value, kind: type, what: str):

@@ -190,24 +190,6 @@ def half_tree_contains(h: DirectedEdge, x) -> bool:
     return not is_prefix(h.tail, word)
 
 
-def half_trees_disjoint(h1: DirectedEdge, h2: DirectedEdge) -> bool:
-    """Exact disjointness test on vertex sets."""
-    if h1 == h2:
-        return False
-    if h1 == h2.reversed():
-        return True
-    return not half_tree_contains(h2, h1.head) and not half_tree_contains(h1, h2.head)
-
-
-def half_tree_subset(h1: DirectedEdge, h2: DirectedEdge) -> bool:
-    """Exact test for h1 being contained in h2."""
-    if h1 == h2:
-        return True
-    if h1 == h2.reversed():
-        return False
-    return not half_tree_contains(h1, h2.tail) and half_tree_contains(h2, h1.head)
-
-
 def _primitive(period: Vertex) -> Vertex:
     n = len(period)
     for k in range(1, n + 1):

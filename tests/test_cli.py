@@ -1,15 +1,18 @@
 """Command-line front-end: exit codes, determinism, and report content."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from arboreal.cli import main
 from arboreal.cstar_obstruction import normalize_config
+from arboreal.perm_groups import cyclic_table
 
 
 def run_cli(argv, capsys):
@@ -467,6 +470,93 @@ def test_ill_typed_free_product_table_is_a_config_error(tmp_path, capsys, tables
     assert code == 2
     assert stdout == ""
     assert err == f"error: {message}\n"
+
+
+def _no_tables(*args, **kwargs):
+    raise AssertionError("permutations listed for an oversized group")
+
+
+@pytest.mark.parametrize("command", [["certify"], ["classify", "--element", "identity"],
+                                     ["orbit"], ["witness"], ["verify"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("config, message", [
+    pytest.param({"preset": "wreath-z2-z7"}, "color-set degree must be at most 64, got 128",
+                 id="wreath-z2-z7"),
+    pytest.param({"preset": "wreath-z2-z20"},
+                 "color-set degree must be at most 64, got 1048576", id="wreath-z2-z20"),
+    pytest.param({"wreath": {"gamma": cyclic_table(3), "a": cyclic_table(4)}},
+                 "color-set degree must be at most 64, got 81", id="wreath-tables"),
+    pytest.param({"groups": {"F": {"kind": "cyclic", "degree": 65}, "Fp": SYM3}},
+                 "color-set degree must be at most 64, got 65", id="cyclic-65"),
+    pytest.param({"groups": {"F": {"kind": "trivial", "degree": 65}, "Fp": SYM3}},
+                 "color-set degree must be at most 64, got 65", id="trivial-65"),
+    pytest.param({"groups": {"F": {"kind": "cyclic", "degree": 30},
+                             "Fp": {"kind": "symmetric", "degree": 30}}},
+                 f"group order must be at most 720, got {math.factorial(30)}", id="symmetric-30"),
+    pytest.param({"groups": {"F": {"kind": "alternating", "degree": 7}, "Fp": SYM3}},
+                 "group order must be at most 720, got 2520", id="alternating-7"),
+    pytest.param({"groups": {"F": {"kind": "listed",
+                                   "perms": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]},
+                             "Fp": SYM3}},
+                 "group order must be at most 720, got at least 721", id="listed-sym7"),
+])
+def test_group_above_its_cap_exits_2_before_it_is_built(
+        tmp_path, capsys, monkeypatch, command, config, message):
+    out = tmp_path / "out.txt"
+    if command == ["verify"]:
+        run_cli(["certify", "--preset", "g-alt3-sym3", "--word-length", "2", "--out", str(out)],
+                capsys)
+        header, _, body = out.read_text().partition("\n")
+        data = json.loads(body)
+        data["config"].update({"preset": None, **config})
+        out.write_text(header + "\n" + json.dumps(data) + "\n")
+        argv = ["verify", str(out)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*command, "--config", str(cfg), "--out", str(out)]
+    # symmetric, alternating and wreath groups list their permutations
+    # through these two; a listed group's closure stops past the cap
+    monkeypatch.setattr("arboreal.perm_groups.itertools",
+                        SimpleNamespace(permutations=_no_tables, product=_no_tables))
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {message}\n"
+    assert command == ["verify"] or not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"preset": "wreath-z2-z6"}, id="degree-64"),
+    pytest.param({"groups": {"F": {"kind": "cyclic", "degree": 6},
+                             "Fp": {"kind": "symmetric", "degree": 6}}}, id="order-720"),
+])
+def test_group_at_its_cap_is_accepted(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, stdout, err = run_cli(["classify", "--config", str(cfg), "--element", "identity"],
+                                capsys)
+    assert (code, err) == (0, "")
+    assert "member of G(F,F'): yes" in stdout
+
+
+DEEP = "[" * 5000 + "]" * 5000  # far past the JSON decoder's nesting limit
+
+
+@pytest.mark.parametrize("command, what", [
+    (["verify"], "certificate body"),
+    (["certify", "--config"], "config file"),
+    (["orbit", "--config"], "config file"),
+    (["classify", "--preset", "g-alt3-sym3", "--element"], "--element"),
+], ids=lambda c: c[0] if isinstance(c, list) else None)
+def test_deeply_nested_json_input_exits_2(tmp_path, capsys, command, what):
+    path = tmp_path / "input.txt"
+    path.write_text("arboreal-cert/1\n" + DEEP + "\n" if command == ["verify"] else DEEP)
+    if command[0] == "classify":
+        argv = [*command, '{"base": ' + DEEP + "}"]
+    else:
+        argv = [*command, str(path)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {what} is nested too deeply to decode\n"
 
 
 def test_package_root_and_cli_leave_piecewise_unloaded():

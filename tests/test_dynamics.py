@@ -1,5 +1,5 @@
 """Isometry classification, axis ends, half-tree fixation, and the witnesses
-for independent hyperbolic elements and free subgroups."""
+for independent hyperbolic elements."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from arboreal.dynamics import (
     enumerate_products,
     fixes_half_tree_pointwise,
     general_type_witness,
-    ping_pong_certificate,
 )
 from arboreal.perm_groups import Perm, PermGroup
 from arboreal.portraits import GroupClass, TreeAut, image_prefix, random_element
@@ -304,36 +303,6 @@ def test_general_type_witness_not_found_for_a_single_hyperbolic():
     assert general_type_witness([g], 3) is None
 
 
-def test_ping_pong_certificate_for_glide_and_conjugate():
-    g1 = TreeAut.from_constant(IDENT3, (0, 1))
-    flip = TreeAut.from_constant(IDENT3, (2,))  # inversion of a third edge
-    g2 = flip * g1 * flip.inverse()
-    cert = ping_pong_certificate(g1, g2, power=1)
-    assert cert is not None
-    assert cert.power == 1
-    h1p, h1m, h2p, h2m = cert.half_trees
-    from arboreal.tree_core import half_trees_disjoint
-
-    hs = [h1p, h1m, h2p, h2m]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert half_trees_disjoint(hs[i], hs[j])
-    assert len(cert.inclusions) == 4
-
-
-def test_ping_pong_rejects_shared_ends():
-    g = TreeAut.from_constant(IDENT3, (0, 1))
-    with pytest.raises(ValueError):
-        ping_pong_certificate(g, g, power=1)
-
-
-def test_ping_pong_rejects_zero_power():
-    g1 = TreeAut.from_constant(IDENT3, (0, 1))
-    flip = TreeAut.from_constant(IDENT3, (2,))
-    with pytest.raises(ValueError):
-        ping_pong_certificate(g1, flip * g1 * flip.inverse(), power=0)
-
-
 def test_hyperbolic_axis_point_translates_linearly():
     found = 0
     for s in range(60):
@@ -350,17 +319,6 @@ def test_hyperbolic_axis_point_translates_linearly():
         if found >= 10:
             break
     assert found >= 3
-
-
-def test_ping_pong_certificate_serializes():
-    g1 = TreeAut.from_constant(IDENT3, (0, 1))
-    flip = TreeAut.from_constant(IDENT3, (2,))
-    cert = ping_pong_certificate(g1, flip * g1 * flip.inverse(), power=1)
-    data = cert.to_data()
-    assert data["power"] == 1
-    assert len(data["half_trees"]) == 4
-    assert all(set(h) == {"tail", "color"} for h in data["half_trees"])
-    assert len(data["inclusions"]) == 4
 
 
 def test_half_tree_fixation_oracle_over_integer_colors():

@@ -12,6 +12,7 @@ from arboreal.perm_groups import (
     check_group_table,
     check_orbit_preservation,
     cyclic_table,
+    mulclose,
     orbits,
     point_stabilizer,
     wreath_embedding,
@@ -94,7 +95,7 @@ def test_point_stabilizer_finite():
     stab = point_stabilizer(sym3, 0)
     assert len(stab.elements) == 2
     assert Perm.from_cycles(3, (1, 2)) in stab.elements
-    assert point_stabilizer(PermGroup.alternating(3), 0).is_trivial()
+    assert len(point_stabilizer(PermGroup.alternating(3), 0).elements) == 1
     # closure under the group laws
     for p in stab.elements:
         assert stab.contains(p.inv())
@@ -156,6 +157,12 @@ def test_wreath_rejects_trivial_factors():
         wreath_embedding(cyclic_table(2), cyclic_table(1))
     with pytest.raises(ValueError):
         wreath_embedding(cyclic_table(1), cyclic_table(2))
+
+
+def test_group_families_at_their_caps():
+    assert len(PermGroup.cyclic(64).elements) == 64
+    assert PermGroup.trivial(64).degree == 64
+    assert len(mulclose([Perm.from_cycles(6, (0, 1)), Perm.from_cycles(6, range(6))])) == 720
 
 
 def test_finite_group_laws_exhaustively_sym3():

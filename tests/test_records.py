@@ -15,7 +15,7 @@ from arboreal.cstar_obstruction import (
     parse_certificate,
     serialize_certificate,
 )
-from arboreal.dynamics import Elliptic, FreeGroupCertificate, Hyperbolic, Inversion
+from arboreal.dynamics import Elliptic, Hyperbolic, Inversion
 from arboreal.perm_groups import PermGroup
 from arboreal.portraits import GroupClass
 from arboreal.tree_core import DirectedEdge
@@ -32,8 +32,6 @@ RECORDS = [
     (Elliptic, ("fixed_vertex",), ((0, 1),), {}, True),
     (Inversion, ("edge",), (E1,), {}, True),
     (Hyperbolic, ("length", "axis_point"), (2, (0,)), {}, True),
-    (FreeGroupCertificate, ("power", "half_trees", "inclusions", "end_depth"),
-     (1, (E0, E1, E0, E1), ("a", "b"), 12), {"inclusions": (), "end_depth": 0}, True),
     (GroupClass, ("F", "Fp", "star"), (ALT3, SYM3, True), {"star": False}, True),
     (OrbitTruncation, ("word_length", "depth", "margin", "points", "heuristic_bound",
                        "depth_warning"), (2, 8, 1, [((), (0, 1))], 6, False), {}, False),

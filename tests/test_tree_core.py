@@ -11,8 +11,6 @@ from arboreal.tree_core import (
     geodesic,
     half_tree,
     half_tree_contains,
-    half_tree_subset,
-    half_trees_disjoint,
     is_reduced,
     neighbor,
 )
@@ -111,22 +109,6 @@ def test_half_trees_partition_every_ball_vertex():
         h, ho = e, e.reversed()
         for v in ball:
             assert half_tree_contains(h, v) != half_tree_contains(ho, v)
-
-
-def test_half_tree_subset_and_disjoint():
-    p0 = half_tree(V0, 0)
-    p01 = half_tree((0,), 1)
-    p1 = half_tree(V0, 1)
-    assert half_tree_subset(p01, p0)
-    assert not half_tree_subset(p0, p01)
-    assert half_trees_disjoint(p0, p1)
-    assert not half_trees_disjoint(p0, p01)
-    assert half_trees_disjoint(p0, p0.reversed())
-    assert half_tree_subset(p0, p0)
-    # co-cylinder relations
-    c0 = half_tree((0,), 0)  # contains V0, excludes the 0-branch
-    assert half_tree_subset(p1, c0)
-    assert not half_trees_disjoint(c0, half_tree((1,), 0))
 
 
 def test_periodic_end_canonical_forms():
