@@ -388,7 +388,7 @@ def _group_from_spec(spec) -> PermGroup:
         ):
             raise ValueError("listed group spec perms must be a list of lists of JSON integers, "
                              f"got {json.dumps(perms, default=repr)}")
-        return PermGroup.generated([Perm.from_table(t) for t in perms])
+        return PermGroup.generated([Perm(t) for t in perms])
     if kind == "z_translations":
         return PermGroup.z_translations()
     if kind == "z_finitary":

@@ -608,10 +608,10 @@ def perm_from_data(data) -> Perm:
     """A table of JSON integers, or an integer shift with a patch of integer
     pairs; any other shape, or a patch that lists a point twice, is bad input."""
     if isinstance(data, list):
-        return Perm.from_table(_json_list(data, int, "permutation table"))
+        return Perm(_json_list(data, int, "permutation table"))
     shift, patch = (require_key(data, k, "integer-color permutation") for k in ("shift", "patch"))
     pairs = (_json_list(pair, int, "patch pair") for pair in _json_list(patch, list, "patch", 2))
-    return Perm.z_affine(json_typed(shift, int, "permutation shift"), _unique_map(pairs, "patch"))
+    return Perm(shift=json_typed(shift, int, "permutation shift"), patch=_unique_map(pairs, "patch"))
 
 
 def aut_to_data(g: TreeAut) -> dict:

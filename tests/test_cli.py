@@ -73,6 +73,26 @@ def test_conflicting_group_sources_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_object_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    out = tmp_path / "c.txt"
+    code, stdout, err = run_cli(["certify", "--config", str(cfg), "--out", str(out)], capsys)
+    assert (code, stdout, err) == (2, "", "error: config file must hold a JSON object\n")
+    assert not out.exists()
+
+
+def test_config_preset_disagreeing_with_the_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "wreath-z2-z2"}))
+    out = tmp_path / "c.txt"
+    code, stdout, err = run_cli(["certify", "--config", str(cfg), "--preset", "g-alt3-sym3",
+                                 "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: preset given both in the config file and on the command line\n"
+    assert not out.exists()
+
+
 def test_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "cert.txt"
     run_cli(["certify", "--preset", "wreath-z2-z2", "--depth", "14", "--out", str(out)], capsys)
@@ -132,6 +152,21 @@ def test_classify_generator_word(capsys):
     assert "translation length: 2" in stdout
 
 
+def test_classify_reports_an_inversion(capsys):
+    # g2 is the rigid motion with base (0,), which swaps the ends of the color-0 edge
+    code, stdout, _ = run_cli(
+        ["classify", "--preset", "g-alt3-sym3", "--element", "g2"], capsys
+    )
+    assert code == 0
+    assert stdout.splitlines() == [
+        "isometry type: inversion of the color-0 edge at v0",
+        "translation length: 0",
+        "member of U(F): yes",
+        "member of G(F,F'): yes",
+        "member of G(F,F')*: no",
+    ]
+
+
 def test_classify_serialized_witness_element(tmp_path, capsys):
     code, witness_json, _ = run_cli(["witness", "--preset", "g-alt3-sym3"], capsys)
     assert code == 0
@@ -187,6 +222,7 @@ _ZSWAP_TWICE = {"shift": 0, "patch": [[1, 2], [2, 1], [1, 2]]}  # the swap of 1 
     pytest.param("g-alt3-sym3", "gx", "bad generator token 'gx'", id="token-gx"),
     pytest.param("g-alt3-sym3", "g", "bad generator token 'g'", id="token-g"),
     pytest.param("g-alt3-sym3", "g1^-1^-1", "bad generator token 'g1^-1^-1'", id="token-double-inverse"),
+    pytest.param("g-alt3-sym3", "g99", "generator index 99 out of range (have 4)", id="index-99"),
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": 5}, None, id="core-int"),
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "base": 5}, None, id="base-int"),
     pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": [[5, _ID3]]}, None, id="vertex-int"),
@@ -250,6 +286,15 @@ def test_orbit_report(capsys):
     assert code == 0
     assert "points:" in stdout
     assert "e: 010101010101" in stdout
+
+
+def test_orbit_below_the_heuristic_depth_warns(capsys):
+    code, stdout, _ = run_cli(
+        ["orbit", "--preset", "g-alt3-sym3", "--word-length", "3", "--depth", "4"], capsys
+    )
+    assert code == 0
+    assert stdout.splitlines()[2] == "warning: depth below heuristic bound 14"
+    assert "points: 20" in stdout
 
 
 def test_witness_pslz_preset(capsys):
@@ -336,6 +381,32 @@ def test_search_len_below_1_is_a_config_error(tmp_path, capsys):
         assert code == 2
         assert "error: numeric bounds must be positive" in err
         assert not out.exists()
+
+
+def test_search_len_1_finds_no_general_type_pair(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "g-alt3-sym3", "search_len": 1}))
+    out = tmp_path / "c.txt"
+    code, stdout, _ = run_cli(["certify", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert "check general_type: {'found': False, 'search_len': 1}" in stdout
+    assert "status: INVALID:general_type" in stdout
+
+
+@pytest.mark.parametrize("fp_kind, code, status, amenability", [
+    ("z_finitary", 0, "VALID", "(locally finite)-by-Z"),
+    ("z_translations", 1, "INVALID:fixator_witness", "unavailable"),
+])
+def test_integer_color_group_specs(tmp_path, capsys, fp_kind, code, status, amenability):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"groups": {"F": {"kind": "z_translations"},
+                                          "Fp": {"kind": fp_kind}}}))
+    out = tmp_path / "c.txt"
+    got, stdout, _ = run_cli(["certify", "--config", str(cfg), "--out", str(out)], capsys)
+    assert got == code
+    assert f"status: {status}\n" in stdout
+    body = json.loads(out.read_text().partition("\n")[2])
+    assert body["group"]["edge_stabilizer_amenability"] == amenability
 
 
 CAPS = {"word_length": 6, "depth": 64, "search_len": 4}

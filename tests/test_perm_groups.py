@@ -1,5 +1,6 @@
 """Permutation arithmetic, group families, and the wreath construction."""
 
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from arboreal.perm_groups import (
 
 def test_finite_perm_validation():
     with pytest.raises(ValueError):
-        Perm.from_table([0, 0, 1])
+        Perm([0, 0, 1])
     p = Perm.from_cycles(3, (0, 1, 2))
     assert [p(c) for c in range(3)] == [1, 2, 0]
 
@@ -39,7 +40,7 @@ def _random_affine(rng):
     pts = rng.sample(range(-6, 7), rng.randint(0, 4))
     images = pts[:]
     rng.shuffle(images)
-    return Perm.z_affine(shift, dict(zip(pts, images)))
+    return Perm(shift=shift, patch=dict(zip(pts, images)))
 
 
 def test_integer_perm_laws_on_random_triples():
@@ -53,8 +54,8 @@ def test_integer_perm_laws_on_random_triples():
 
 
 def test_integer_perm_normal_form_equality():
-    a = Perm.z_affine(2, {0: 1, 1: 0})
-    b = Perm.z_affine(2, {1: 0, 0: 1, 5: 5})
+    a = Perm(shift=2, patch={0: 1, 1: 0})
+    b = Perm(shift=2, patch={1: 0, 0: 1, 5: 5})
     assert a == b and hash(a) == hash(b)
     assert Perm.z_translation(0).is_identity()
 
@@ -62,10 +63,22 @@ def test_integer_perm_normal_form_equality():
 def test_finite_group_closure_validation():
     with pytest.raises(ValueError):
         PermGroup.from_elements([Perm.from_cycles(3, (0, 1, 2))])  # no identity
+    with pytest.raises(ValueError, match=r"^product Perm\(1 2\)\*Perm\(0 1\) escapes the list$"):
+        PermGroup.from_elements([Perm.identity(3), Perm.from_cycles(3, (0, 1)),
+                                 Perm.from_cycles(3, (1, 2))])
     alt3 = PermGroup.alternating(3)
     assert len(alt3.elements) == 3
     assert len(PermGroup.symmetric(3).elements) == 6
     assert len(PermGroup.cyclic(5).elements) == 5
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_symmetric_and_alternating_match_an_enumeration(degree):
+    tables = list(itertools.permutations(range(degree)))
+    even = [t for t in tables
+            if sum(t[i] > t[j] for i in range(degree) for j in range(i + 1, degree)) % 2 == 0]
+    assert [p.key() for p in PermGroup.symmetric(degree).elements] == [("f", t) for t in tables]
+    assert [p.key() for p in PermGroup.alternating(degree).elements] == [("f", t) for t in even]
 
 
 def test_freeness_predicate():
@@ -110,7 +123,7 @@ def test_point_stabilizer_integer_family():
     assert not stab.contains(Perm.z_swap(0, 2))
     assert not stab.contains(Perm.z_translation(1))
     # nonzero shifts fixing the point still belong to the stabilizer family
-    tricky = Perm.z_affine(5, {0: -5, -5: 0})
+    tricky = Perm(shift=5, patch={0: -5, -5: 0})
     assert tricky(0) == 0 and stab.contains(tricky)
     sample = stab.sample_nontrivial()
     assert stab.contains(sample) and not sample.is_identity()
@@ -157,6 +170,12 @@ def test_wreath_rejects_trivial_factors():
         wreath_embedding(cyclic_table(2), cyclic_table(1))
     with pytest.raises(ValueError):
         wreath_embedding(cyclic_table(1), cyclic_table(2))
+
+
+def test_wreath_degree_cap_comes_before_the_table_checks():
+    # the all-zero 9x9 table is no group table, but 9^2 colors fail first
+    with pytest.raises(ValueError, match="^color-set degree must be at most 64, got 81$"):
+        wreath_embedding([[0] * 9 for _ in range(9)], cyclic_table(2))
 
 
 def test_group_families_at_their_caps():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from arboreal.perm_groups import Perm, PermGroup
+from arboreal.perm_groups import Perm, PermGroup, cyclic_table, wreath_embedding
 from arboreal.piecewise import (
     PiecewiseAut,
     RegularTreeModel,
@@ -312,6 +312,23 @@ def test_piecewise_decomposition_rejects_foreign_elements():
     g = TreeAut.from_constant(Perm.from_cycles(3, (1, 2)), V0)
     with pytest.raises(ValueError):
         piecewise_decomposition(g, ALT3)
+
+
+def test_piecewise_decomposition_at_degree_8():
+    # F = (Z/2)^3 on 8 colors: Sym(8) (order 40320) is above the group cap
+    F, Fp, _, _ = wreath_embedding(cyclic_table(2), cyclic_table(3))
+    consts = [TreeAut.from_constant(f, base)
+              for f in F.elements[1:4] for base in (V0, (0,), (3, 5))]
+    elements = consts + [g * h for g, h in zip(consts, consts[3:] + consts[:3])]
+    elements += [random_element(GroupClass.prescribed(F, Fp), 1, seed=s) for s in range(3)]
+    verts = ball(RegularTreeModel(8), V0, 3)
+    for g in elements:
+        pw = piecewise_decomposition(g, F)
+        ok, msg = pw.validate()
+        assert ok, msg
+        assert all(pw.apply(v) == g.evaluate(v) for v in verts)
+    with pytest.raises(ValueError, match="almost-prescribed"):
+        piecewise_decomposition(elements[0], ALT3)  # F on 3 colors
 
 
 def test_half_tree_helpers_on_free_product_tree():

@@ -252,7 +252,7 @@ def test_serialization_round_trip():
     for s in (1, 4, 9):
         g = random_element(G_CLASS, 2, seed=s)
         assert aut_from_data(aut_to_data(g)) == g
-    t = TreeAut.from_constant(Perm.z_affine(1, {3: 4, 4: 3}), (0,))
+    t = TreeAut.from_constant(Perm(shift=1, patch={3: 4, 4: 3}), (0,))
     assert aut_from_data(aut_to_data(t)) == t
 
 
