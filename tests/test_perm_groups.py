@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arboreal.perm_groups import (
     NotASubgroupError,
@@ -61,15 +63,61 @@ def test_integer_perm_normal_form_equality():
 
 
 def test_finite_group_closure_validation():
-    with pytest.raises(ValueError):
-        PermGroup.from_elements([Perm.from_cycles(3, (0, 1, 2))])  # no identity
-    with pytest.raises(ValueError, match=r"^product Perm\(1 2\)\*Perm\(0 1\) escapes the list$"):
-        PermGroup.from_elements([Perm.identity(3), Perm.from_cycles(3, (0, 1)),
-                                 Perm.from_cycles(3, (1, 2))])
+    # a generator list is closed, not rejected: the 3-cycle gives C3, and the
+    # identity with (0 1) and (1 2) gives Sym(3)
+    c3 = PermGroup.generated([Perm.from_cycles(3, (0, 1, 2))])
+    assert c3.elements == PermGroup.cyclic(3).elements
+    assert c3.describe()["amenability_reason"] == "finite (order 3)"
+    sym3 = PermGroup.generated([Perm.identity(3), Perm.from_cycles(3, (0, 1)),
+                                Perm.from_cycles(3, (1, 2))])
+    assert sym3.elements == PermGroup.symmetric(3).elements
     alt3 = PermGroup.alternating(3)
     assert len(alt3.elements) == 3
     assert len(PermGroup.symmetric(3).elements) == 6
     assert len(PermGroup.cyclic(5).elements) == 5
+
+
+def _naive_closure(gens):
+    """Add all pairwise products until none is new."""
+    els = set(gens)
+    while True:
+        new = {a * b for a in els for b in els} - els
+        if not new:
+            return els
+        els |= new
+
+
+def _perms(degree):
+    return st.permutations(range(degree)).map(Perm)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(_perms(d), min_size=1, max_size=3)))
+def test_generated_equals_the_naive_closure(gens):
+    G = PermGroup.generated(gens)
+    els = set(G.elements)
+    assert els == _naive_closure(gens)
+    assert list(G.elements) == sorted(els, key=Perm.key)
+    assert G.degree == gens[0].degree
+    for a in G.elements:
+        assert a.inv() in els
+        for b in G.elements:
+            assert a * b in els
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 5).flatmap(_perms), min_size=2, max_size=4).filter(
+    lambda gens: len({p.degree for p in gens}) > 1))
+def test_generated_rejects_mixed_degrees(gens):
+    with pytest.raises(ValueError, match="^finite groups need a common finite degree$"):
+        PermGroup.generated(gens)
+
+
+def test_generated_rejects_an_empty_list_and_integer_perms():
+    with pytest.raises(ValueError, match="^empty element list$"):
+        PermGroup.generated([])
+    with pytest.raises(ValueError, match="^finite groups need a common finite degree$"):
+        PermGroup.generated([Perm.z_translation(1)])
 
 
 @pytest.mark.parametrize("degree", range(7))
@@ -163,6 +211,59 @@ def test_wreath_z3_z2():
     stab = point_stabilizer(Fp, 0)
     assert len(stab.elements) == 2  # isomorphic to A = Z/2
     assert (stab.elements[0] * stab.elements[1]) in stab.elements
+
+
+def _sym3_table():
+    els = list(itertools.permutations(range(3)))
+    return [[els.index(tuple(p[i] for i in q)) for q in els] for p in els]
+
+
+def _wreath_listing(gamma, a):
+    """Every (f, alpha) in Gamma wr A as a permutation of the functions
+    A -> Gamma, listed exhaustively: (f, alpha) . x = t -> f(t) x(alpha^-1 t).
+    Returns the points, the sorted base group, the sorted wreath product and
+    the embedding of Gamma at the identity coordinate of A."""
+    gt, ge, _ = check_group_table(gamma)
+    at, ae, a_inv = check_group_table(a)
+    ng, na = len(gt), len(at)
+    points = list(itertools.product(range(ng), repeat=na))
+    index = {x: i for i, x in enumerate(points)}
+
+    def perm(f, alpha):
+        return Perm([index[tuple(gt[f[t]][x[at[a_inv[alpha]][t]]] for t in range(na))]
+                     for x in points])
+
+    base = sorted({perm(f, ae) for f in points}, key=Perm.key)
+    full = sorted({perm(f, alpha) for f in points for alpha in range(na)}, key=Perm.key)
+    embed = {g: perm(tuple(g if t == ae else ge for t in range(na)), ae) for g in range(ng)}
+    return points, base, full, embed
+
+
+WREATH_PAIRS = [pytest.param(cyclic_table(g), cyclic_table(n), id=f"z{g}-z{n}")
+                for g in range(2, 9) for n in range(2, 7) if g ** n <= 64] + [
+    pytest.param(_sym3_table(), cyclic_table(2), id="sym3-z2"),
+    pytest.param(cyclic_table(2), _sym3_table(), id="z2-sym3"),
+]
+
+
+@pytest.mark.parametrize("gamma, a", WREATH_PAIRS)
+def test_wreath_embedding_matches_the_exhaustive_listing(gamma, a):
+    F, Fp, points, embed = wreath_embedding(gamma, a)
+    ref_points, base, full, ref_embed = _wreath_listing(gamma, a)
+    assert points == ref_points
+    assert list(F.elements) == base and list(Fp.elements) == full
+    assert len(full) == len(points) * len(a)  # faithful
+    assert (F.amenability_reason, Fp.amenability_reason) == (
+        f"finite (order {len(base)})", f"finite (order {len(full)})")
+    assert embed == ref_embed
+    # every point stabilizer is the listed one, a conjugate of Stab(x0)
+    x0 = 0  # the constant function at Gamma's identity, index 0 in these tables
+    stab0 = [p for p in full if p(x0) == x0]
+    for x in range(len(points)):
+        stab = [p for p in full if p(x) == x]
+        assert list(point_stabilizer(Fp, x).elements) == stab
+        g = next(p for p in full if p(x0) == x)
+        assert {g * s * g.inv() for s in stab0} == set(stab)
 
 
 def test_wreath_rejects_trivial_factors():
