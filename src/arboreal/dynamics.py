@@ -207,50 +207,30 @@ def enumerate_products(gens: list[TreeAut], max_len: int):
 
 def general_type_witness(gens: list[TreeAut], search_len: int):
     """Search products of the generators for two hyperbolic elements whose
-    four axis ends are pairwise distinct to depth max(2 Lmax s, 8), where
-    s = `search_len` and Lmax is the largest translation length in the ball.
+    four axis ends are pairwise distinct to depth max(2 s^2 m, 8), where
+    s = `search_len` and m is the largest |g.base| of a generator.
 
-    Returns the first such pair in `itertools.combinations` order over the
-    hyperbolic products, the pair an eager search of the whole ball returns,
-    or None when no witness exists within the length bound -- absence of a
+    Each hyperbolic product, in `enumerate_products` order, is tested against
+    every earlier one, and the first pair found is returned as (earlier,
+    later): pairs run in order of the later element, then of the earlier.
+    None means no witness exists within the length bound -- absence of a
     witness is never evidence against the action being of general type.
 
-    Products are drawn lazily.  With m the largest |g.base| of a generator,
-    a product w has translation length <= d(v0, w v0) <= s m, and the power
-    h^(s // k) of a hyperbolic h whose first word has k letters lies in the
-    ball.  So Lmax = s m as soon as some (s // k) l(h) reaches s m; if none
-    does, the ball is drained and Lmax is the largest (s // k) l(h).  Pairs
-    are then tested in order, so draws stop at the product that decides one.
+    `axis_and_ends` certifies its ray prefixes at any depth, so four distinct
+    prefixes prove four distinct ends.  The depth is set by the inputs alone:
+    every product w has translation length at most d(v0, w v0) <= s m, and
+    the ends are compared over 2 s such lengths.
     """
     bound = search_len * max(len(g.base) for g in gens)
     if bound == 0:
         return None  # every generator fixes v0, so every product is elliptic
-    products = enumerate_products(gens, search_len)
-    hyperbolics: list[TreeAut] = []
-
-    def draw() -> int:
-        # Append the next hyperbolic h; return (s // k) l(h), or 0 once spent.
-        for word, el in products:
-            cls = classify_isometry(el)
-            if isinstance(cls, Hyperbolic):
-                hyperbolics.append(el)
-                return search_len // len(word) * cls.length
-        return 0
-
-    lmax = 0
-    while lmax < bound and (reach := draw()):
-        lmax = max(lmax, reach)
-    depth = max(2 * lmax * search_len, 8)
-    ends: dict[int, tuple[Vertex, Vertex]] = {}
-    i = 0
-    while i < len(hyperbolics) or draw():
-        j = i + 1
-        while j < len(hyperbolics) or draw():
-            for k in (i, j):
-                if k not in ends:
-                    ends[k] = axis_and_ends(hyperbolics[k], depth)
-            if len(set(ends[i] + ends[j])) == 4:
-                return hyperbolics[i], hyperbolics[j]
-            j += 1
-        i += 1
+    depth = max(2 * search_len * bound, 8)
+    seen: list[tuple[TreeAut, tuple[Vertex, Vertex]]] = []
+    for _, el in enumerate_products(gens, search_len):
+        if isinstance(classify_isometry(el), Hyperbolic):
+            ends = axis_and_ends(el, depth)
+            for earlier, earlier_ends in seen:
+                if len(set(earlier_ends + ends)) == 4:
+                    return earlier, el
+            seen.append((el, ends))
     return None

@@ -187,6 +187,8 @@ def perm_disagreement(p: Perm, q: Perm) -> set[int] | None:
 
 
 def _check_degree(degree: int) -> None:
+    if degree < 1:
+        raise ValueError(f"color-set degree must be at least 1, got {degree}")
     if degree > MAX_DEGREE:
         raise ValueError(f"color-set degree must be at most {MAX_DEGREE}, got {degree}")
 
@@ -241,6 +243,7 @@ class PermGroup:
             d = gens[0].degree
             if d is None or any(p.degree != d for p in gens):
                 raise ValueError("finite groups need a common finite degree")
+            _check_degree(d)
             # a set that holds the generators, is closed under left multiplication
             # by each, and whose members are all products of them is closed under
             # composition, so it also holds the identity and every inverse (powers)
@@ -473,10 +476,10 @@ def wreath_embedding(gamma_table, a_table):
                          f"got {len(gamma_table)}^{len(a_table)}")
     _check_degree(len(gamma_table) ** len(a_table))
     gt, ge, _ = check_group_table(gamma_table)
+    if len(gt) < 2:  # before a's cubic check: one row caps nothing, as 1^|A| = 1
+        raise ValueError("trivial Gamma: faithfulness of the wreath action fails")
     at, ae, a_inv = check_group_table(a_table)
     ng, na = len(gt), len(at)
-    if ng < 2:
-        raise ValueError("trivial Gamma: faithfulness of the wreath action fails")
     if na < 2:
         raise ValueError("trivial A: the construction needs a nontrivial shift group")
 
@@ -498,7 +501,7 @@ def wreath_embedding(gamma_table, a_table):
     shifts = [as_perm(ident, alpha) for alpha in range(na)]
     F = PermGroup.generated(base)
     Fp = PermGroup.generated(base + shifts)
-    embed = {g: as_perm(delta(ge, g), ae) for g in range(ng)}
+    embed = {g: as_perm(delta(ae, g), ae) for g in range(ng)}
 
     # a group keeps one copy of each distinct permutation, so the action is
     # faithful iff the closures are as large as Gamma^(A) and Gamma wr A

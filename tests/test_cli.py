@@ -571,6 +571,15 @@ def _no_tables(*args, **kwargs):
                                    "perms": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]},
                              "Fp": SYM3}},
                  "group order must be at most 720, got at least 721", id="listed-sym7"),
+    # and below the lower cap, on no colors
+    pytest.param({"groups": {"F": {"kind": "symmetric", "degree": 0}, "Fp": SYM3}},
+                 "color-set degree must be at least 1, got 0", id="symmetric-0"),
+    pytest.param({"groups": {"F": {"kind": "trivial", "degree": 0}, "Fp": SYM3}},
+                 "color-set degree must be at least 1, got 0", id="trivial-0"),
+    pytest.param({"groups": {"F": {"kind": "cyclic", "degree": -3}, "Fp": SYM3}},
+                 "color-set degree must be at least 1, got -3", id="cyclic-minus-3"),
+    pytest.param({"groups": {"F": SYM3, "Fp": {"kind": "listed", "perms": [[]]}}},
+                 "color-set degree must be at least 1, got 0", id="listed-no-colors"),
 ])
 def test_group_above_its_cap_exits_2_before_it_is_built(
         tmp_path, capsys, monkeypatch, command, config, message):

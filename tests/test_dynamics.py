@@ -2,6 +2,8 @@
 for independent hyperbolic elements."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arboreal.cstar_obstruction import fixator_witness, resolve_groups, standard_generators
 from arboreal.dynamics import (
@@ -203,21 +205,20 @@ def test_general_type_witness_found_for_universal_generators():
 
 
 def eager_general_type_witness(gens, search_len):
-    """Reference search: both axis rays of every hyperbolic product before
-    the first pair is tested."""
-    hyperbolics = []
-    for _, el in enumerate_products(gens, search_len):
-        cls = classify_isometry(el)
-        if isinstance(cls, Hyperbolic):
-            hyperbolics.append((el, cls.length))
-    if not hyperbolics:
+    """Reference search: both axis rays of every hyperbolic product, to depth
+    max(2 s^2 m, 8), before the first pair is tested; pairs in order of the
+    later element, then of the earlier one."""
+    m = max(len(g.base) for g in gens)
+    if m == 0:
         return None
-    depth = max(2 * max(length for _, length in hyperbolics) * search_len, 8)
-    rays = [axis_and_ends(el, depth) for el, _ in hyperbolics]
-    for i in range(len(hyperbolics)):
-        for j in range(i + 1, len(hyperbolics)):
+    depth = max(2 * search_len * search_len * m, 8)
+    hyperbolics = [el for _, el in enumerate_products(gens, search_len)
+                   if isinstance(classify_isometry(el), Hyperbolic)]
+    rays = [axis_and_ends(el, depth) for el in hyperbolics]
+    for j in range(len(hyperbolics)):
+        for i in range(j):
             if len(set(rays[i] + rays[j])) == 4:
-                return hyperbolics[i][0], hyperbolics[j][0]
+                return hyperbolics[i], hyperbolics[j]
     return None
 
 
@@ -226,11 +227,11 @@ PRESETS = ["g-alt3-sym3", "g-cycle5-alt5", "wreath-z2-z2", "wreath-z2-z3",
 
 
 def generator_set(name):
-    """Standard generators of a preset; "rot", where no product's power
-    reaches the displacement bound (translation length 1 < m = 2); "glide-fix",
-    the glide and two half-tree fixators, where the first hyperbolic shares an
-    end with the next nine and the first pair is (0, 10) although (3, 4)
-    works; or "elliptic", a single generator fixing v0 (m = 0)."""
+    """Standard generators of a preset; "rot", whose products have translation
+    lengths below the bound s m; "glide-fix", the glide and two half-tree
+    fixators, where the first hyperbolic shares an end with the next nine and
+    the first pair is (3, 4) of 44 hyperbolics at s = 3; or "elliptic", a
+    single generator fixing v0 (m = 0)."""
     if name == "rot":
         return [TreeAut.from_constant(ROT, (0,)), TreeAut.from_constant(ROT, (0, 1))]
     if name == "glide-fix":
@@ -271,23 +272,22 @@ def count_draws(monkeypatch, gens, search_len):
     return found, len(drawn)
 
 
-def test_general_type_witness_stops_at_the_deciding_product(monkeypatch):
-    gens = generator_set("wreath-z3-z2")
-    found, drawn = count_draws(monkeypatch, gens, 3)
-    ball = [el.key() for _, el in enumerate_products(gens, 3)]
-    assert drawn == ball.index(found[1].key()) + 1 == 12
-
-
 @pytest.mark.parametrize("search_len", [1, 2, 3])
-def test_general_type_witness_drains_the_ball_without_a_proving_product(monkeypatch, search_len):
-    gens = generator_set("rot")
-    ball = list(enumerate_products(gens, search_len))
-    classes = [classify_isometry(el) for _, el in ball]
-    lmax = max((c.length for c in classes if isinstance(c, Hyperbolic)), default=0)
-    assert lmax < search_len * 2  # no power reaches s·m, so nothing proves Lmax early
+@pytest.mark.parametrize("name", PRESETS + ["rot", "glide-fix", "elliptic"])
+def test_general_type_witness_stops_at_the_deciding_product(monkeypatch, name, search_len):
+    gens = generator_set(name)
     found, drawn = count_draws(monkeypatch, gens, search_len)
-    assert keys(found) == keys(eager_general_type_witness(gens, search_len))
-    assert drawn == len(ball)
+    ball = [el.key() for _, el in enumerate_products(gens, search_len)]
+    if found is not None:
+        assert drawn == ball.index(found[1].key()) + 1
+    else:
+        assert drawn == (0 if name == "elliptic" else len(ball))
+
+
+def test_general_type_witness_draw_counts_at_search_length_3(monkeypatch):
+    counts = {name: count_draws(monkeypatch, generator_set(name), 3)[1]
+              for name in ("wreath-z3-z2", "wreath-z2-z3", "rot", "glide-fix")}
+    assert counts == {"wreath-z3-z2": 12, "wreath-z2-z3": 14, "rot": 6, "glide-fix": 7}
 
 
 def test_general_type_witness_needs_no_products_when_every_generator_fixes_v0(monkeypatch):
@@ -301,6 +301,30 @@ def test_general_type_witness_not_found_for_identity():
 def test_general_type_witness_not_found_for_a_single_hyperbolic():
     g = TreeAut.from_constant(IDENT3, (0, 1))
     assert general_type_witness([g], 3) is None
+
+
+Z_F, Z_FP = PermGroup.z_translations(), PermGroup.z_finitary_affine()
+Z_WINDOW = range(-2, 3)
+z_words = st.lists(st.sampled_from(list(Z_WINDOW)), max_size=2).filter(
+    lambda w: all(a != b for a, b in zip(w, w[1:]))).map(tuple)
+finite_generators = st.builds(
+    lambda seed: random_element(G_CLASS, 2, seed), st.integers(0, 10**6))
+integer_generators = st.one_of(
+    st.builds(lambda tail, color: fixator_witness(Z_F, Z_FP, half_tree(tail, color)),
+              z_words, st.sampled_from(list(Z_WINDOW))),
+    st.builds(lambda shift, base: TreeAut.from_constant(Perm.z_translation(shift), base),
+              st.integers(-2, 2), z_words),
+)
+
+
+@pytest.mark.parametrize("generators", [finite_generators, integer_generators],
+                         ids=["finite", "integer"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), search_len=st.integers(1, 3))
+def test_general_type_witness_agrees_with_the_eager_reference(generators, data, search_len):
+    gens = data.draw(st.lists(generators, min_size=1, max_size=3))
+    assert keys(general_type_witness(gens, search_len)) == keys(
+        eager_general_type_witness(gens, search_len))
 
 
 def test_hyperbolic_axis_point_translates_linearly():

@@ -113,6 +113,15 @@ def test_generated_rejects_mixed_degrees(gens):
         PermGroup.generated(gens)
 
 
+@pytest.mark.parametrize("build, degree", [
+    (PermGroup.symmetric, 0), (PermGroup.alternating, 0), (PermGroup.trivial, 0),
+    (PermGroup.cyclic, -3), (lambda d: PermGroup.generated([Perm(range(d))]), 0),
+], ids=["symmetric", "alternating", "trivial", "cyclic", "generated"])
+def test_finite_group_on_no_colors_is_rejected(build, degree):
+    with pytest.raises(ValueError, match=f"^color-set degree must be at least 1, got {degree}$"):
+        build(degree)
+
+
 def test_generated_rejects_an_empty_list_and_integer_perms():
     with pytest.raises(ValueError, match="^empty element list$"):
         PermGroup.generated([])
@@ -120,7 +129,7 @@ def test_generated_rejects_an_empty_list_and_integer_perms():
         PermGroup.generated([Perm.z_translation(1)])
 
 
-@pytest.mark.parametrize("degree", range(7))
+@pytest.mark.parametrize("degree", range(1, 7))
 def test_symmetric_and_alternating_match_an_enumeration(degree):
     tables = list(itertools.permutations(range(degree)))
     even = [t for t in tables
@@ -239,10 +248,15 @@ def _wreath_listing(gamma, a):
     return points, base, full, embed
 
 
+# Z/3 as x * y = x + y + 1 mod 3, whose identity is at index 2
+Z3_IDENTITY_AT_2 = [[(i + j + 1) % 3 for j in range(3)] for i in range(3)]
+
 WREATH_PAIRS = [pytest.param(cyclic_table(g), cyclic_table(n), id=f"z{g}-z{n}")
                 for g in range(2, 9) for n in range(2, 7) if g ** n <= 64] + [
     pytest.param(_sym3_table(), cyclic_table(2), id="sym3-z2"),
     pytest.param(cyclic_table(2), _sym3_table(), id="z2-sym3"),
+    pytest.param(Z3_IDENTITY_AT_2, cyclic_table(2), id="z3e2-z2"),
+    pytest.param(cyclic_table(2), Z3_IDENTITY_AT_2, id="z2-z3e2"),
 ]
 
 
@@ -257,7 +271,7 @@ def test_wreath_embedding_matches_the_exhaustive_listing(gamma, a):
         f"finite (order {len(base)})", f"finite (order {len(full)})")
     assert embed == ref_embed
     # every point stabilizer is the listed one, a conjugate of Stab(x0)
-    x0 = 0  # the constant function at Gamma's identity, index 0 in these tables
+    x0 = points.index((check_group_table(gamma)[1],) * len(a))  # constant at Gamma's identity
     stab0 = [p for p in full if p(x0) == x0]
     for x in range(len(points)):
         stab = [p for p in full if p(x) == x]
@@ -271,6 +285,9 @@ def test_wreath_rejects_trivial_factors():
         wreath_embedding(cyclic_table(2), cyclic_table(1))
     with pytest.raises(ValueError):
         wreath_embedding(cyclic_table(1), cyclic_table(2))
+    # the all-zero table is no group table, but the one-row Gamma fails first
+    with pytest.raises(ValueError, match="^trivial Gamma"):
+        wreath_embedding([[0]], [[0, 0], [0, 0]])
 
 
 def test_wreath_degree_cap_comes_before_the_table_checks():
