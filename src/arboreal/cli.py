@@ -5,11 +5,11 @@ Subcommands: certify (full pipeline to a certificate file), classify (isometry
 type and class membership of one element), orbit (truncated boundary orbit),
 witness (half-tree fixator witnesses, or the branch-swap element over the
 free-product preset "pslz").  Configs are JSON files; the same data can be
-given by flags.  Exit status: 0 success/VALID, 1 pipeline INVALID, 2 parse or
-configuration errors, 3 internal error (a failed internal consistency check,
-such as an end image coming out too short or an axis ray that does not
-stabilize, or a KeyError from inside the pipeline; it points at a bug, not at
-the input).
+given by flags.  Exit status: 0 success/VALID; 1 when a stage fails on an
+admissible pair (INVALID); 2 for parse or configuration errors, among them a
+pair that breaks a hypothesis (F acts freely, F is a proper subgroup of F',
+F' preserves the F-orbits), rejected before any stage runs; 3 for any other
+exception, an internal error such as a failed consistency check: a bug.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .cstar_obstruction import (
     group_source,
     normalize_config,
     orbit_truncate,
+    require_admissible_pair,
     resolve_groups,
     serialize_certificate,
     standard_generators,
@@ -197,6 +198,7 @@ def cmd_witness(args) -> int:
         print(f"fixes the half-tree beyond {third}: {gamma.fixes_half_tree((v, third))}")
         return 0
     F, Fp, label = resolve_groups(config)
+    require_admissible_pair(F, Fp)
     g = fixator_witness(F, Fp, DirectedEdge(V0, 0))
     stab = point_stabilizer(Fp, 0)
     print(f"group: {label}")
@@ -230,11 +232,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except KeyError as exc:
         print(f"internal error: missing key {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other exception is a bug, not bad input
+        print(f"internal error: {exc} ({type(exc).__name__})", file=sys.stderr)
         return 3
 
 

@@ -26,6 +26,7 @@ from .perm_groups import (
     check_freeness,
     check_orbit_preservation,
     cyclic_table,
+    orbits,
     point_stabilizer,
     wreath_embedding,
 )
@@ -54,25 +55,25 @@ CERT_VERSION = "arboreal-cert/1"
 # -- witness construction ------------------------------------------------------
 
 
-def _require_admissible_pair(F: PermGroup, Fp: PermGroup):
+def require_admissible_pair(F: PermGroup, Fp: PermGroup) -> None:
+    """Raise ValueError, naming the failed hypothesis, unless F acts freely,
+    F is a proper subgroup of F' and F' preserves the F-orbits."""
     if not check_freeness(F):
         raise ValueError("F must act freely on the color set")
+    if not Fp.contains_group(F) or F.contains_group(Fp):
+        raise ValueError(f"F must be a proper subgroup of F', got F = {F!r} and F' = {Fp!r}")
     if not check_orbit_preservation(F, Fp):
         raise ValueError("F' must preserve the orbits of F")
-    if F.contains_group(Fp):  # F <= F' holds once the orbit check has passed
-        raise ValueError("F must be a proper subgroup of F'")
 
 
 def _matching_f_element(F: PermGroup, b: int, target: int) -> Perm:
-    """The element of F sending b to target (unique when F acts freely)."""
-    if F.kind == "finite":
-        for p in F.elements:
-            if p(b) == target:
-                return p
-        raise AssertionError(f"no element of F sends {b} to {target}")
+    """The element of the free group F (finite, or Z) sending b to target."""
     if F.kind == "z_translations":
         return Perm.z_translation(target - b)
-    raise ValueError(f"unsupported F kind {F.kind!r}")
+    for p in F.elements:
+        if p(b) == target:
+            return p
+    raise AssertionError(f"no element of F sends {b} to {target}")
 
 
 def fixator_witness(F: PermGroup, Fp: PermGroup, h: DirectedEdge, sigma: Perm | None = None) -> TreeAut:
@@ -81,10 +82,9 @@ def fixator_witness(F: PermGroup, Fp: PermGroup, h: DirectedEdge, sigma: Perm | 
     The local action is the identity throughout the half-tree, a nontrivial
     stabilizer element sigma of the edge color at the facing vertex, and on
     every other branch at the facing vertex the F-element matching sigma on
-    the branch color.  The result lies in G(F,F') but (for nontrivial sigma
-    and free F) not in U(F).
+    the branch color.  The result lies in G(F,F') but (for nontrivial sigma)
+    not in U(F).  The pair must pass `require_admissible_pair`.
     """
-    _require_admissible_pair(F, Fp)
     t, a = h.tail, h.color
     deg = F.degree
     if sigma is None:
@@ -290,7 +290,7 @@ def fixator_filtration_check(F: PermGroup, Fp: PermGroup, h: DirectedEdge, level
     """
     if level >= 2:
         raise ValueError("filtration levels >= 2 are unsupported (combinatorial blow-up)")
-    _require_admissible_pair(F, Fp)
+    require_admissible_pair(F, Fp)
     if level == 0:
         if F.kind != "finite":
             raise ValueError("level-0 enumeration needs a finite color set")
@@ -397,15 +397,18 @@ def _group_from_spec(spec) -> PermGroup:
 
 
 def standard_generators(F: PermGroup) -> list[TreeAut]:
-    """A deterministic generating set for the universal group of F: constant
-    portraits at the base vertex plus two rigid motions."""
+    """A deterministic generating set for U(F), F free: by Bass-Serre theory,
+    the vertex stabilizer F (constants at the base vertex) and one edge
+    inversion at the base vertex per F-orbit, plus the glide to (0, 1)."""
     gens: list[TreeAut] = []
     if F.kind == "finite":
         gens += [TreeAut.from_constant(p, V0) for p in F.elements if not p.is_identity()]
+        edge_colors = [min(o) for o in orbits(F)]
     else:
         gens.append(TreeAut.from_constant(Perm.z_translation(1), V0))
+        edge_colors = [0]
     ident = Perm.identity(F.degree)
-    gens.append(TreeAut.from_constant(ident, (0,)))
+    gens += [TreeAut.from_constant(ident, (c,)) for c in edge_colors]
     gens.append(TreeAut.from_constant(ident, (0, 1)))
     return gens
 
@@ -474,18 +477,14 @@ def build_certificate(config: dict) -> Certificate:
         config=cfg, group={}, edge={}, witness_a=None, witness_b=None, orbit=None, checks={}
     )
     F, Fp, label = resolve_groups(cfg)
+    require_admissible_pair(F, Fp)
     edge = DirectedEdge(V0, 0)
-    stab_reason = None
-    try:
-        stab_reason = point_stabilizer(Fp, edge.color).amenability_reason
-    except ValueError:
-        stab_reason = "unavailable"
     cert.group = {
         "label": label,
         "omega": "Z" if F.degree is None else F.degree,
         "F": F.describe(),
         "Fp": Fp.describe(),
-        "edge_stabilizer_amenability": stab_reason,
+        "edge_stabilizer_amenability": point_stabilizer(Fp, edge.color).amenability_reason,
     }
     cert.edge = {"tail": list(edge.tail), "color": edge.color}
 
@@ -499,12 +498,7 @@ def build_certificate(config: dict) -> Certificate:
         cert.status = "INVALID:general_type"
         return cert
 
-    try:
-        a, b = disjoint_support_pair(F, Fp, edge)
-    except (ValueError, AssertionError) as exc:
-        cert.status = "INVALID:fixator_witness"
-        cert.checks["fixator_witness"] = {"error": str(exc)}
-        return cert
+    a, b = disjoint_support_pair(F, Fp, edge)
     cert.witness_a = aut_to_data(a)
     cert.witness_b = aut_to_data(b)
 

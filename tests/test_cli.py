@@ -39,17 +39,18 @@ def test_certify_is_byte_identical_for_fixed_config(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_certify_invalid_pair_exits_1(tmp_path, capsys):
+def test_certify_inadmissible_pair_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "groups": {"F": {"kind": "alternating", "degree": 3},
                    "Fp": {"kind": "alternating", "degree": 3}},
     }))
-    code, stdout, _ = run_cli(
-        ["certify", "--config", str(cfg), "--out", str(tmp_path / "c.txt")], capsys
-    )
-    assert code == 1
-    assert "INVALID:fixator_witness" in stdout
+    out = tmp_path / "c.txt"
+    code, stdout, err = run_cli(["certify", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert "error: F must be a proper subgroup of F'" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -395,15 +396,19 @@ def test_search_len_1_finds_no_general_type_pair(tmp_path, capsys):
 
 @pytest.mark.parametrize("fp_kind, code, status, amenability", [
     ("z_finitary", 0, "VALID", "(locally finite)-by-Z"),
-    ("z_translations", 1, "INVALID:fixator_witness", "unavailable"),
+    ("z_translations", 2, None, None),  # F = F': bad input, no certificate
 ])
 def test_integer_color_group_specs(tmp_path, capsys, fp_kind, code, status, amenability):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"groups": {"F": {"kind": "z_translations"},
                                           "Fp": {"kind": fp_kind}}}))
     out = tmp_path / "c.txt"
-    got, stdout, _ = run_cli(["certify", "--config", str(cfg), "--out", str(out)], capsys)
+    got, stdout, err = run_cli(["certify", "--config", str(cfg), "--out", str(out)], capsys)
     assert got == code
+    if status is None:
+        assert "error: F must be a proper subgroup of F'" in err
+        assert not out.exists()
+        return
     assert f"status: {status}\n" in stdout
     body = json.loads(out.read_text().partition("\n")[2])
     assert body["group"]["edge_stabilizer_amenability"] == amenability
@@ -474,6 +479,90 @@ def test_internal_key_error_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "internal error: missing key 'orbit'" in err
+
+
+@pytest.mark.parametrize("exc_type", [IndexError, TypeError])
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch, command, exc_type):
+    cert = tmp_path / "c.txt"
+    assert main(["certify", "--preset", "g-alt3-sym3", "--word-length", "2",
+                 "--out", str(cert)]) == 0
+    capsys.readouterr()
+
+    def broken(*args):
+        raise exc_type("a bug in a stage")
+
+    monkeypatch.setattr("arboreal.cstar_obstruction.orbit_truncate", broken)
+    argv = (["verify", str(cert)] if command == "verify" else
+            ["certify", "--preset", "g-alt3-sym3", "--out", str(tmp_path / "d.txt")])
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert err == f"internal error: a bug in a stage ({exc_type.__name__})\n"
+
+
+def _pair(F, Fp):
+    return {"groups": {"F": F, "Fp": Fp}}
+
+
+def _spec(kind, degree=None):
+    return {"kind": kind} if degree is None else {"kind": kind, "degree": degree}
+
+
+FREE = "F must act freely on the color set"
+PROPER = "F must be a proper subgroup of F'"
+ORBITS = "F' must preserve the orbits of F"
+
+
+@pytest.mark.parametrize("config, hypothesis", [
+    (_pair(_spec("cyclic", 3), _spec("cyclic", 3)), PROPER),
+    (_pair(_spec("z_translations"), _spec("z_translations")), PROPER),
+    (_pair(_spec("symmetric", 3), _spec("symmetric", 3)), FREE),
+    (_pair(_spec("z_finitary"), _spec("z_finitary")), FREE),
+    (_pair(_spec("cyclic", 4), _spec("alternating", 4)), PROPER),
+    (_pair(_spec("cyclic", 3), _spec("symmetric", 4)), PROPER),
+    (_pair(_spec("cyclic", 3), _spec("z_finitary")), PROPER),
+    (_pair(_spec("z_translations"), _spec("symmetric", 3)), PROPER),
+    (_pair(_spec("trivial", 3), _spec("symmetric", 3)), ORBITS),
+    (_pair({"kind": "listed", "perms": [[1, 0, 3, 2]]}, _spec("symmetric", 4)), ORBITS),
+], ids=["C3=C3", "Z=Z", "Sym3=Sym3", "Zfin=Zfin", "C4<Alt4", "C3<Sym4", "C3<Zfin", "Z<Sym3",
+        "trivial3<Sym3", "double-transposition<Sym4"])
+def test_inadmissible_pair_exits_2_before_any_stage(tmp_path, capsys, monkeypatch,
+                                                     config, hypothesis):
+    calls = []
+
+    def search(*args):
+        calls.append(args)
+        raise AssertionError("the general-type search ran")
+
+    monkeypatch.setattr("arboreal.cstar_obstruction.general_type_witness", search)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "c.txt"
+    code, stdout, err = run_cli(["certify", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {hypothesis}")
+    assert stdout == ""
+    assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["certify", "witness"])
+def test_admissibility_is_checked_once_per_command(tmp_path, capsys, monkeypatch, command):
+    from arboreal import cstar_obstruction
+
+    calls = []
+    check = cstar_obstruction.require_admissible_pair
+
+    def counted(F, Fp):
+        calls.append((F, Fp))
+        return check(F, Fp)
+
+    monkeypatch.setattr("arboreal.cstar_obstruction.require_admissible_pair", counted)
+    monkeypatch.setattr("arboreal.cli.require_admissible_pair", counted)
+    code, _, _ = run_cli([command, "--preset", "g-alt3-sym3", "--out", str(tmp_path / "c.txt")],
+                         capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("key", ["word_length", "depth", "seed", "search_len"])

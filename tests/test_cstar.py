@@ -19,6 +19,7 @@ from arboreal.cstar_obstruction import (
     fixator_witness,
     orbit_truncate,
     parse_certificate,
+    require_admissible_pair,
     resolve_groups,
     serialize_certificate,
     standard_generators,
@@ -65,15 +66,16 @@ def test_fixator_witness_on_deeper_half_trees():
 
 
 def test_fixator_witness_rejects_degenerate_pairs():
+    # the witness trusts its pair; the one admissibility check rejects these
     with pytest.raises(ValueError, match="proper subgroup"):
-        fixator_witness(ALT3, ALT3, half_tree(V0, 0))
+        require_admissible_pair(ALT3, ALT3)
     with pytest.raises(ValueError, match="act freely"):
-        fixator_witness(SYM3, SYM3, half_tree(V0, 0))
+        require_admissible_pair(SYM3, SYM3)
     with pytest.raises(ValueError, match="act freely"):
         # Sym(3) does not act freely
-        fixator_witness(SYM3, PermGroup.symmetric(3), half_tree(V0, 0))
+        require_admissible_pair(SYM3, PermGroup.symmetric(3))
     with pytest.raises(ValueError, match="proper subgroup"):
-        fixator_witness(PermGroup.z_translations(), PermGroup.z_translations(), half_tree(V0, 0))
+        require_admissible_pair(PermGroup.z_translations(), PermGroup.z_translations())
 
 
 def test_fixator_witness_over_integer_colors():
@@ -340,11 +342,11 @@ def test_build_certificate_valid_for_alt3_sym3():
 
 
 def test_build_certificate_invalid_when_groups_coincide():
-    cert = build_certificate(
-        {"groups": {"F": {"kind": "alternating", "degree": 3},
-                    "Fp": {"kind": "alternating", "degree": 3}}}
-    )
-    assert cert.status == "INVALID:fixator_witness"
+    with pytest.raises(ValueError, match="proper subgroup"):
+        build_certificate(
+            {"groups": {"F": {"kind": "alternating", "degree": 3},
+                        "Fp": {"kind": "alternating", "degree": 3}}}
+        )
 
 
 def test_build_certificate_wreath_preset():
@@ -380,6 +382,71 @@ def test_fixator_witness_for_non_transitive_free_pair():
     assert fixes_half_tree_pointwise(g, h)
     assert GroupClass.prescribed(F, Fp).contains(g)
     assert not GroupClass.universal(F).contains(g)
+
+
+def _closure(gens):
+    """The permutation group, as a set of tables, generated by gens."""
+    elements = {tuple(range(len(gens[0])))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [q for q in {tuple(p[i] for i in g) for p in frontier for g in gens}
+                    if q not in elements]
+        elements.update(frontier)
+    return frozenset(elements)
+
+
+def _admissible_pairs(d):
+    """Every pair (F, F') of subgroups of Sym(d), each given by generators,
+    with F free, F' preserving the F-orbits and F a proper subgroup of F'."""
+    identity = tuple(range(d))
+
+    def free(group):
+        return all(g == identity or all(g[c] != c for c in range(d)) for g in group)
+
+    sym = list(itertools.permutations(range(d)))
+    # a free group's elements generate free cyclic groups; the free groups of
+    # degree at most 5 are cyclic or Klein four, so pairs of them suffice
+    semiregular = [p for p in sym if free(_closure([p]))]
+    frees = {}
+    for pair in itertools.combinations_with_replacement(semiregular, 2):
+        F = _closure(list(pair))
+        if free(F):
+            frees.setdefault(F, list(pair))
+    pairs = []
+    for F, F_gens in frees.items():
+        orbits = {frozenset(g[c] for g in F) for c in range(d)}
+        preserving = [p for p in sym if all({p[c] for c in o} == o for o in orbits)]
+        # the overgroups of F in `preserving`: <H, x> depends on x only through
+        # the coset Hx, so one representative per coset is enough
+        overgroups, todo = {F: F_gens}, [F]
+        while todo:
+            H = todo.pop()
+            covered = set(H)
+            for x in preserving:
+                if x in covered:
+                    continue
+                covered.update(tuple(h[i] for i in x) for h in H)
+                gens = overgroups[H] + [x]
+                K = _closure(gens)
+                if K not in overgroups:
+                    overgroups[K] = gens
+                    todo.append(K)
+        pairs += [(F_gens, gens) for K, gens in overgroups.items() if K != F]
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("degree, count", [(3, 1), (4, 14), (5, 24)])
+def test_every_admissible_pair_of_small_degree_certifies_valid(degree, count):
+    pairs = _admissible_pairs(degree)
+    assert len(pairs) == count
+    invalid = []
+    for F, Fp in pairs:
+        groups = {name: {"kind": "listed", "perms": [list(p) for p in gens]}
+                  for name, gens in (("F", F), ("Fp", Fp))}
+        cert = build_certificate({"groups": groups, "word_length": 2})
+        if cert.status != "VALID":
+            invalid.append((F, Fp, cert.status))
+    assert invalid == []
 
 
 def test_integer_witness_has_swap_core_and_translation_branches():
