@@ -33,7 +33,7 @@ from .cstar_obstruction import (
 from .dynamics import Elliptic, Inversion, classify_isometry
 from .perm_groups import point_stabilizer
 from .portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, decode_json, require_key
-from .tree_core import V0, DirectedEdge, PeriodicEnd
+from .tree_core import V0, DirectedEdge, PeriodicEnd, ray_prefix
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -162,9 +162,9 @@ def cmd_orbit(args) -> int:
         print(f"warning: depth below heuristic bound {orbit.heuristic_bound}")
     print(f"points: {len(orbit.points)}")
     lines = []
-    for word, ray in orbit.points:
+    for word, end in orbit.points:
         wname = ".".join(map(str, word)) or "e"
-        lines.append(f"  {wname}: {''.join(map(str, ray[: orbit.depth]))}")
+        lines.append(f"  {wname}: {''.join(map(str, ray_prefix(*end, orbit.depth)))}")
     output = "\n".join(lines) + "\n"
     _write_or_print(output, args.out)
     return 0
@@ -232,9 +232,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"internal error: missing key {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # any other exception is a bug, not bad input
         print(f"internal error: {exc} ({type(exc).__name__})", file=sys.stderr)
         return 3

@@ -8,11 +8,11 @@ disjoint support on any boundary orbit, so the convolution operator
 (1-a)(1-b) kills every basis vector of the orbit's ell^2 space:
 delta_eta - delta_{b eta} - delta_{a eta} + delta_{ab eta} = 0.
 
-This module builds the witnesses, truncates a boundary orbit to finite depth,
-checks the identity point by point, and bundles everything into a versioned,
-re-verifiable certificate.  Amenability facts are never decided: they enter
-certificates only as structural annotations carried by the permutation
-groups.
+This module builds the witnesses, enumerates a boundary orbit as exact ends,
+checks the identity on each of them exactly, and bundles everything into a
+versioned, re-verifiable certificate.  Amenability facts are never decided:
+they enter certificates only as structural annotations that the permutation
+groups record.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .portraits import (
     aut_to_data,
     decode_json,
     enumerate_branch_constant,
-    image_prefix,
     json_typed,
     require_key,
 )
@@ -47,6 +46,7 @@ from .tree_core import (
     Record,
     enumerate_ball,
     neighbor,
+    ray_prefix,
 )
 
 CERT_VERSION = "arboreal-cert/1"
@@ -136,18 +136,19 @@ def disjoint_support_pair(F: PermGroup, Fp: PermGroup, e: DirectedEdge) -> tuple
 
 class OrbitTruncation(Record):
     """Products of the generators up to the word length, applied to the base
-    end, with image rays deduplicated at the stated depth.
+    end, one point for each ray prefix of the stated depth.
 
-    Each point is (word, ray): the minimal word, in (length, lex) order, that
-    maps the end to the point, and a ray prefix of its image with at least
-    depth + 2 * margin exact letters, where margin bounds the displacement
-    of every generator.  The point itself is ray[:depth].
+    Each point is (word, end): the minimal word, in (length, lex) order,
+    whose image of the base end has that depth prefix, and that image as the
+    canonical (prefix, period) pair of `PeriodicEnd`.  margin (the largest
+    generator displacement), heuristic_bound and depth_warning are
+    certificate values; no check reads them.
     """
 
     __slots__ = ("word_length", "depth", "margin", "points", "heuristic_bound", "depth_warning")
 
     def __init__(self, word_length: int, depth: int, margin: int,
-                 points: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                 points: list[tuple[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]],
                  heuristic_bound: int, depth_warning: bool):
         super().__init__(word_length, depth, margin, points, heuristic_bound, depth_warning)
 
@@ -157,63 +158,43 @@ def orbit_truncate(
 ) -> OrbitTruncation:
     """Enumerate the orbit of the end under short products of the generators.
 
-    Breadth-first over ray prefixes, never over group elements: the word
+    Breadth-first over exact ends, never over group elements: the word
     (i,) + w maps the end to a_i(w(xi)), so layer k applies each letter of
-    `distinct_letters` to the rays of layer k-1, and each letter costs at
-    most `margin` exact letters.  Two words of length <= k whose rays agree
-    on depth + (L-k) * margin letters reach the same depth prefix under
-    every extension to length L, so only the first of them is kept.  No
-    letter is put before a word that starts with its inverse: the ray that
-    gives is the one of the word's tail, kept a layer earlier, so that
-    check would drop it anyway.  Deduplication is ray-prefix equality at the
-    stated depth, so the point count is a lower bound for the true orbit; a
-    depth below the recorded heuristic bound only raises a warning flag.
+    `distinct_letters` to the ends of layer k-1 and keeps an image only if
+    no earlier word reached that same end.  The tail w of the first word of
+    an end is the first word of its own end, so this keeps the first word
+    of every end within the word length.  The points are the first of those
+    words for each ray prefix of the stated depth, so the point count is a
+    lower bound for the true orbit; a depth below the recorded heuristic
+    bound only raises a warning flag.
     """
     letters = distinct_letters(gens)
-    index = {a: i for i, a in letters}
-    inverse = {i: index[a.inverse()] for i, a in letters}
     margin = max(len(g.base) for g in gens)
     bound = 2 * word_length * margin + len(xi.prefix) + len(xi.period)
-    layer = [((), xi.ray_prefix(depth + (word_length + 2) * margin))]
+    layer = [((), (xi.prefix, xi.period))]
     kept = list(layer)
-    for k in range(1, word_length + 1):
-        carried = depth + (word_length + 2 - k) * margin
-        dedup = depth + (word_length - k) * margin
-        seen = {ray[:dedup] for _, ray in kept}
+    seen = {layer[0][1]}
+    for _ in range(word_length):
         nxt = []
         for i, a in letters:
-            for word, ray in layer:
-                if word and inverse[word[0]] == i:
-                    continue
-                img = image_prefix(a, ray, carried)
-                key = img[:dedup]
-                if key not in seen:
-                    seen.add(key)
+            for word, end in layer:
+                img = a.end_image(*end)
+                if img not in seen:
+                    seen.add(img)
                     nxt.append(((i,) + word, img))
         layer = nxt
         kept += layer
-    seen = set()
-    points = []
-    for word, ray in kept:
-        if ray[:depth] not in seen:
-            seen.add(ray[:depth])
-            points.append((word, ray))
+    points = {}
+    for word, end in kept:
+        points.setdefault(ray_prefix(*end, depth), (word, end))
     return OrbitTruncation(
         word_length=word_length,
         depth=depth,
         margin=margin,
-        points=points,
+        points=list(points.values()),
         heuristic_bound=bound,
         depth_warning=depth < bound,
     )
-
-
-def _check_margin(orbit: OrbitTruncation, *witnesses: TreeAut) -> None:
-    for g in witnesses:
-        if len(g.base) > orbit.margin:
-            raise ValueError(
-                f"witness displacement {len(g.base)} exceeds the orbit's margin {orbit.margin}"
-            )
 
 
 def disjoint_support_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncation) -> bool:
@@ -238,28 +219,21 @@ class AnnihilationReport(Record):
 
 
 def convolution_annihilation_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncation) -> AnnihilationReport:
-    """Verify, at the truncation depth, that applying (1-a)(1-b) to each
-    orbit point's basis vector gives zero: the multiset {eta, a b eta} must
-    equal {a eta, b eta}.  One pass per point computes a eta, b eta and
-    a b eta, and records the point's word if both a and b move it.
-
-    The first depth + |a.base| letters of a ray fix its first depth letters
-    under a (`image_prefix` is exact), so where b keeps those letters of the
-    point's ray, a b eta is a eta and costs no second evaluation."""
-    _check_margin(orbit, a, b)
-    depth = orbit.depth
-    needed = depth + len(a.base)
+    """Verify on exact ends that applying (1-a)(1-b) to each orbit point's
+    basis vector gives zero: the multiset {eta, a b eta} must equal
+    {a eta, b eta}.  One pass per point computes a eta, b eta and a b eta,
+    which is a eta where b fixes eta, and records the point's word if both
+    a and b move it.  A failure names the four ends by their ray prefixes
+    at the orbit's depth."""
     failures, overlaps = [], []
-    for word, ray in orbit.points:
-        eta = ray[:depth]
-        a_eta = image_prefix(a, ray, depth)
-        b_ray = image_prefix(b, ray, len(ray) - len(b.base))
-        b_eta = b_ray[:depth]
-        ab_eta = a_eta if b_ray[:needed] == ray[:needed] else image_prefix(a, b_ray, depth)
+    for word, eta in orbit.points:
+        a_eta, b_eta = a.end_image(*eta), b.end_image(*eta)
+        ab_eta = a_eta if b_eta == eta else a.end_image(*b_eta)
         if a_eta != eta and b_eta != eta:
             overlaps.append(word)
         if sorted([eta, ab_eta]) != sorted([a_eta, b_eta]):
-            failures.append((word, f"{eta} -> {a_eta}, {b_eta}, {ab_eta}"))
+            rays = [ray_prefix(*end, orbit.depth) for end in (eta, a_eta, b_eta, ab_eta)]
+            failures.append((word, "{} -> {}, {}, {}".format(*rays)))
     return AnnihilationReport(
         total=len(orbit.points),
         passed=len(orbit.points) - len(failures),

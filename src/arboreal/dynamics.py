@@ -181,7 +181,7 @@ def distinct_letters(gens: list[TreeAut]) -> list[tuple[int, TreeAut]]:
 
 def enumerate_products(gens: list[TreeAut], max_len: int):
     """All nontrivial products of the generators and their inverses up to the
-    given length, deduplicated in canonical form, in deterministic
+    given length, each element once by its canonical form, in deterministic
     breadth-first word order.  Yields (word, element) with word a tuple of
     alphabet indices (2i for gens[i], 2i+1 for its inverse), each word the
     (length, lex)-first one for its element.

@@ -40,6 +40,7 @@ from .tree_core import (
     enumerate_ball,
     neighbor,
     prefix_closure,
+    trim_end,
 )
 
 
@@ -65,10 +66,11 @@ class TreeAut:
     validates the data as given and then absorbs every redundant core leaf,
     so the stored core is the unique minimal one and equality and hashing
     compare the stored maps.  Instances are immutable, so each computes its
-    inverse and key at most once and keeps them (`_inv`, `_key`).
+    inverse and key at most once and keeps them (`_inv`, `_key`).  `_cut`,
+    for `end_image`, is the greatest length of the base and a core vertex.
     """
 
-    __slots__ = ("deg", "base", "core", "branches", "defaults", "_inv", "_key")
+    __slots__ = ("deg", "base", "core", "branches", "defaults", "_inv", "_key", "_cut")
 
     def __init__(self, base, core, branches=None, defaults=None):
         self.base = check_vertex(base)
@@ -88,6 +90,7 @@ class TreeAut:
         else:
             self.branches = {e: f for e, f in self.branches.items() if f != self.defaults[e[0]]}
         self._absorb_leaves()
+        self._cut = max(map(len, (self.base, *self.core)))
 
     # -- structure helpers ---------------------------------------------------
 
@@ -219,6 +222,20 @@ class TreeAut:
             w = w[:j] + img[k:]
         return w
 
+    def end_image(self, prefix: Vertex, period: Vertex) -> tuple[Vertex, Vertex]:
+        """The image of the end prefix + period^oo; both ends are canonical
+        (prefix, period) pairs of `PeriodicEnd`.  The ray is cut after whole
+        periods at `_cut` letters or more and evaluated one period further.
+        That period lies past the core, so the constant f of the end's branch
+        maps it (the core agrees with f on the edge into the branch), and
+        past len(base) letters, after which the image ray, a geodesic from
+        g(v0), stops nearing v0 and cancels nothing.  So the image end is
+        g(cut ray) + f(period)^oo; f is a bijection, so f(period) is
+        primitive, and only the trim to the shortest prefix is left."""
+        n = len(period)
+        image = self.evaluate(prefix + period * -((self._cut - len(prefix)) // -n) + period)
+        return trim_end(image[:-n], image[-n:])
+
     def preimage(self, x) -> Vertex:
         """The vertex mapped to x, found by walking the image geodesic."""
         x = tuple(x)
@@ -267,7 +284,7 @@ class TreeAut:
     def __mul__(self, other: "TreeAut") -> "TreeAut":
         """Composition (g * h)(v) = g(h(v)), returned in canonical form, by
         the cocycle rule sigma(g h, n) = sigma(g, h(n)) * sigma(h, n).  h's
-        image of and local action at each support vertex are carried down
+        image of and local action at each support vertex are passed down
         from its parent, so each frontier edge takes one step from its tail.
         """
         g, h = self, other
@@ -479,7 +496,7 @@ def enumerate_branch_constant(F: PermGroup, core_radius: int, bases) -> list[Tre
     """All elements with local actions in F whose canonical core fits in the
     given ball, for each allowed base image.  Exhaustive: portraits are padded
     to the full ball and every compatible assignment is produced, so the list
-    covers every such element exactly once (canonical dedup).
+    covers every such element exactly once (by its canonical key).
     """
     if F.kind != "finite":
         raise ValueError("exhaustive enumeration needs a finite group")

@@ -198,11 +198,28 @@ def _primitive(period: Vertex) -> Vertex:
     return period
 
 
+def trim_end(prefix: Vertex, period: Vertex) -> tuple[Vertex, Vertex]:
+    """The end prefix + period^oo with its shortest prefix: the trailing
+    letters of the prefix that continue the period backwards move into it,
+    which turns the period with them."""
+    n, k = len(period), 0
+    while k < len(prefix) and prefix[-1 - k] == period[-1 - k % n]:
+        k += 1
+    r = n - k % n
+    return prefix[: len(prefix) - k], period[r:] + period[:r]
+
+
+def ray_prefix(prefix: Vertex, period: Vertex, depth: int) -> Vertex:
+    """The first `depth` letters of the ray prefix + period^oo."""
+    return (prefix + period * (max(0, depth - len(prefix)) // len(period) + 1))[:depth]
+
+
 class PeriodicEnd:
     """A boundary end whose ray from the base vertex is eventually periodic.
 
     Stored in the canonical form with the shortest prefix and primitive
-    period, so equality of ends is structural equality.
+    period, so equality of ends is structural equality.  The orbit code
+    handles an end as the plain (prefix, period) pair of that form.
     """
 
     __slots__ = ("prefix", "period")
@@ -214,19 +231,13 @@ class PeriodicEnd:
             raise ValueError("period must be nonempty")
         if not is_reduced(p + q + q):
             raise ValueError(f"ray {p!r} + ({q!r})^oo is not reduced")
-        q = _primitive(q)
-        while p and p[-1] == q[-1]:
-            p = p[:-1]
-            q = q[-1:] + q[:-1]
+        p, q = trim_end(p, _primitive(q))
         object.__setattr__(self, "prefix", p)
         object.__setattr__(self, "period", q)
 
     def ray_prefix(self, depth: int) -> Vertex:
         """The first `depth` letters of the ray from the base vertex."""
-        word = list(self.prefix)
-        while len(word) < depth:
-            word.extend(self.period)
-        return tuple(word[:depth])
+        return ray_prefix(self.prefix, self.period, depth)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PeriodicEnd):

@@ -478,7 +478,7 @@ def test_internal_key_error_exits_3(tmp_path, capsys, monkeypatch):
         ["certify", "--preset", "g-alt3-sym3", "--out", str(tmp_path / "c.txt")], capsys
     )
     assert code == 3
-    assert "internal error: missing key 'orbit'" in err
+    assert "internal error: 'orbit' (KeyError)" in err
 
 
 @pytest.mark.parametrize("exc_type", [IndexError, TypeError])

@@ -32,10 +32,9 @@ from arboreal.portraits import (
     TreeAut,
     aut_from_data,
     end_image_prefix,
-    image_prefix,
     random_element,
 )
-from arboreal.tree_core import V0, DirectedEdge, PeriodicEnd, half_tree
+from arboreal.tree_core import V0, DirectedEdge, PeriodicEnd, half_tree, ray_prefix
 
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
@@ -99,6 +98,15 @@ def test_disjoint_support_pair_commutes_and_separates():
     assert a * b == b * a
 
 
+def assert_end_of(end, el, xi):
+    """end is the canonical pair of el(xi): `PeriodicEnd` keeps it as it is,
+    and its ray agrees with the reference image ray for 64 letters, far past
+    the prefix of either end here, so both are the same periodic ray."""
+    canon = PeriodicEnd(*end)
+    assert (canon.prefix, canon.period) == end
+    assert end_image_prefix(el, xi, 64) == canon.ray_prefix(64)
+
+
 def independent_orbit_enumeration(gens, xi, length, depth):
     """Second enumerator, coded differently: every word up to the length in
     (length, lex) order from itertools.product, its element folded from
@@ -133,21 +141,16 @@ def test_orbit_truncation_matches_independent_enumerator():
         F, Fp, _ = resolve_groups({"preset": preset})
         a, b = disjoint_support_pair(F, Fp, DirectedEdge(V0, 0))
         cases.append(([a, b] + standard_generators(F), length))
-    # a shallow depth makes many words collide, so the labels test the
-    # pruning lengths, not only the point set
+    # a shallow depth makes many words collide, so the labels test which
+    # word is kept for each depth prefix, not only the point set
     for gens, length in cases:
-        for depth in (3, 16):
+        for depth in (1, 3, 16):
             orbit = orbit_truncate(gens, xi, length, depth)
             expected = independent_orbit_enumeration(gens, xi, length, depth)
-            assert [(w, ray[:depth]) for w, ray in orbit.points] == expected
-            # each label's product maps the end to its point, and the carried
-            # ray is exact to depth + 2 * margin letters at least
-            for word, ray in orbit.points:
-                el = TreeAut.identity(gens[0].deg)
-                for i in word:
-                    el = el * (gens[i // 2] if i % 2 == 0 else gens[i // 2].inverse())
-                assert len(ray) >= depth + 2 * orbit.margin
-                assert end_image_prefix(el, xi, len(ray)) == ray
+            assert [(w, ray_prefix(*end, depth)) for w, end in orbit.points] == expected
+            # each label's product maps the end to its point, exactly
+            for word, end in orbit.points:
+                assert_end_of(end, word_element(gens, word), xi)
 
 
 def word_element(gens, word):
@@ -170,12 +173,12 @@ def test_orbit_truncation_matches_independent_enumerator_on_random_generators(da
     gens = [random_element(cls, 2, seed) for seed in seeds]
     length = data.draw(st.integers(2, 3))
     xi = PeriodicEnd((), (0, 1))
-    for depth in (3, 16):
+    for depth in (1, 3, 16):
         orbit = orbit_truncate(gens, xi, length, depth)
         expected = independent_orbit_enumeration(gens, xi, length, depth)
-        assert [(w, ray[:depth]) for w, ray in orbit.points] == expected
-        for word, ray in orbit.points:
-            assert end_image_prefix(word_element(gens, word), xi, len(ray)) == ray
+        assert [(w, ray_prefix(*end, depth)) for w, end in orbit.points] == expected
+        for word, end in orbit.points:
+            assert_end_of(end, word_element(gens, word), xi)
 
 
 def test_orbit_truncation_trivial_cases():
@@ -218,13 +221,16 @@ def test_disjoint_support_check_detects_overlap():
 
 def reference_annihilation(a, b, orbit):
     """The failures and overlaps of the point checks with a eta, b eta and
-    a b eta each from its own evaluation, and a b eta through the product."""
-    depth, ab = orbit.depth, a * b
+    a b eta each from its own evaluation, and a b eta through the product.
+    Ends are compared by their first 64 letters, far past the prefix of any
+    end here, so equal prefixes mean equal ends."""
+    ab = a * b
     failures, overlaps = [], []
-    for word, ray in orbit.points:
-        eta = ray[:depth]
-        a_eta, b_eta = image_prefix(a, ray, depth), image_prefix(b, ray, depth)
-        ab_eta = image_prefix(ab, ray, depth)
+    for word, end in orbit.points:
+        point = PeriodicEnd(*end)
+        eta = point.ray_prefix(64)
+        a_eta, b_eta = end_image_prefix(a, point, 64), end_image_prefix(b, point, 64)
+        ab_eta = end_image_prefix(ab, point, 64)
         if a_eta != eta and b_eta != eta:
             overlaps.append(word)
         if sorted([eta, ab_eta]) != sorted([a_eta, b_eta]):
@@ -259,8 +265,8 @@ def test_annihilation_reads_the_letters_past_the_depth_that_a_needs():
     # b eta is eta at depth 3
     a = TreeAut.from_constant(Perm.identity(3), (0, 1))
     b = fixator_witness(ALT3, SYM3, DirectedEdge((1, 0, 2), 2))
-    ray = (1, 0, 2, 1, 0, 1, 0, 1, 0, 1)
-    orbit = OrbitTruncation(1, 3, 2, [((), ray)], 0, False)
+    # the ray (1, 0, 2, 1, 0, 1, 0, ...)
+    orbit = OrbitTruncation(1, 3, 2, [((), ((1, 0, 2), (1, 0)))], 0, False)
     report = convolution_annihilation_check(a, b, orbit)
     assert [w for w, _ in report.failures] == reference_annihilation(a, b, orbit)[0] == [()]
     assert report.failures[0][1] == "(1, 0, 2) -> (2, 1, 0), (1, 0, 2), (2, 0, 2)"
@@ -280,19 +286,24 @@ def test_overlapping_witnesses_give_the_pinned_disjoint_support_certificate(monk
         "97ff7905821fec885e290dca17206758f72454a9bd4b2960fd1eafc9a3abe288")
 
 
-def test_orbit_checks_refuse_witnesses_beyond_the_margin():
-    e = DirectedEdge(V0, 0)
-    a, b = disjoint_support_pair(ALT3, SYM3, e)
-    orbit = orbit_truncate([a, b] + standard_generators(ALT3), PeriodicEnd((), (0, 1)), 2, 12)
-    assert orbit.margin == 2
-    # displacement 3 exceeds the margin the rays were carried for; the rays
-    # happen to be long enough here, and the checks refuse it all the same
+def test_orbit_and_point_checks_take_elements_that_move_the_base_vertex_far():
+    # displacement 3, beyond every generator's: ends are exact, so neither
+    # the orbit nor the point checks depend on how far an element moves v0
+    a, b = disjoint_support_pair(ALT3, SYM3, DirectedEdge(V0, 0))
     far = TreeAut.from_constant(Perm.identity(3), (0, 1, 0))
-    for x, y in [(far, b), (a, far)]:
-        with pytest.raises(ValueError, match="margin"):
-            disjoint_support_check(x, y, orbit)
-        with pytest.raises(ValueError, match="margin"):
-            convolution_annihilation_check(x, y, orbit)
+    xi = PeriodicEnd((), (0, 1))
+    gens = [far, a, b] + standard_generators(ALT3)
+    for depth in (1, 3, 12):
+        orbit = orbit_truncate(gens, xi, 2, depth)
+        expected = independent_orbit_enumeration(gens, xi, 2, depth)
+        assert [(w, ray_prefix(*end, depth)) for w, end in orbit.points] == expected
+    for x, y in [(far, b), (a, far), (a, b)]:
+        report = convolution_annihilation_check(x, y, orbit)
+        failures, overlaps = reference_annihilation(x, y, orbit)
+        assert report.overlaps == overlaps
+        assert [w for w, _ in report.failures] == failures
+        assert disjoint_support_check(x, y, orbit) == (not overlaps)
+    assert convolution_annihilation_check(far, b, orbit).overlaps
 
 
 def test_filtration_level_0_trivial_kernel():

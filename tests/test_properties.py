@@ -1,11 +1,12 @@
 """Property tests of the branch-rule view shared by finite and integer
 colors: canonical forms, the defaults expansion at a finite degree,
-serialization, the group laws, and vertex evaluation against a
-letter-by-letter reference walk.
+serialization, the group laws, vertex evaluation against a letter-by-letter
+reference walk, and exact end images against image ray prefixes.
 
-Finite elements are random members of G(Alt(3), Sym(3)) and U(Sym(3));
-integer elements are short products of half-tree fixator witnesses and
-translation constants, whose portraits carry defaults and exceptions.
+Finite elements are random members of G(Alt(3), Sym(3)) and U(Sym(3)), and
+for end images of G(C5, Alt(5)); integer elements are short products of
+half-tree fixator witnesses and translation constants, whose portraits carry
+defaults and exceptions.
 """
 
 from hypothesis import given, settings
@@ -13,8 +14,15 @@ from hypothesis import strategies as st
 
 from arboreal.cstar_obstruction import fixator_witness, resolve_groups, standard_generators
 from arboreal.perm_groups import Perm, PermGroup
-from arboreal.portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, random_element
-from arboreal.tree_core import V0, enumerate_ball, half_tree, neighbor, prefix_closure
+from arboreal.portraits import (
+    GroupClass,
+    TreeAut,
+    aut_from_data,
+    aut_to_data,
+    end_image_prefix,
+    random_element,
+)
+from arboreal.tree_core import V0, PeriodicEnd, enumerate_ball, half_tree, neighbor, prefix_closure
 
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
@@ -228,3 +236,44 @@ def test_evaluate_matches_the_letter_by_letter_walk(data):
     if all(a != b for a, b in zip(x, x[1:])):
         u = g.preimage(x)
         assert g.evaluate(u) == reference_evaluate(g, u) == x
+
+
+C5, ALT5 = PermGroup.cyclic(5), PermGroup.alternating(5)
+# elements that move v0 up to three steps: random members of the two finite
+# classes, and constant portraits, which move it furthest for their core
+end_elements = st.one_of(
+    st.builds(
+        random_element,
+        st.sampled_from([GroupClass.prescribed(ALT3, SYM3), GroupClass.prescribed(C5, ALT5)]),
+        st.integers(0, 3),  # the core radius, which also bounds the displacement
+        st.integers(0, 10**6),
+    ),
+    *(st.builds(TreeAut.from_constant, st.sampled_from(F.elements), _reduced_words(3, range(d)))
+      for F, d in [(ALT3, 3), (C5, 5)]),
+    st.builds(lambda shift, base: TreeAut.from_constant(Perm.z_translation(shift), base),
+              st.integers(-2, 2), _reduced_words(3)),
+    integer_elements,
+)
+
+
+@PROPERTY
+@given(st.data())
+def test_end_image_is_the_canonical_end_of_the_image_rays(data):
+    g = data.draw(end_elements)
+    colors = list(range(g.deg)) if g.deg is not None else list(WINDOW)
+    # the ray starts along the geodesic to g^-1(v0), which the image ray
+    # retraces towards v0, or to a deepest core vertex, for a drawn length
+    lead = data.draw(st.sampled_from([g.inverse().base, max(g.core, key=len)]))
+    ray = list(lead[: data.draw(st.integers(0, len(lead)))])
+    for _ in range(data.draw(st.integers(max(0, 3 - len(ray)), 4))):
+        ray.append(data.draw(st.sampled_from([c for c in colors if not ray or c != ray[-1]])))
+    # every split of the ray into a nonempty prefix and a period of two or
+    # three letters that repeats reduced
+    ends = [PeriodicEnd(ray[:s], ray[s:s + n]) for s in range(1, len(ray) - 1) for n in (2, 3)
+            if s + n <= len(ray) and ray[s + n - 1] != ray[s]]
+    for eta in ends:
+        pair = g.end_image(eta.prefix, eta.period)
+        end = PeriodicEnd(*pair)
+        assert (end.prefix, end.period) == pair
+        assert end.ray_prefix(64) == end_image_prefix(g, eta, 64)
+        assert g.inverse().end_image(*pair) == (eta.prefix, eta.period)
