@@ -4,22 +4,32 @@ certificates and human-readable reports.
 Subcommands: certify (full pipeline to a certificate file), classify (isometry
 type and class membership of one element), orbit (truncated boundary orbit),
 witness (half-tree fixator witnesses, or the branch-swap element over the
-free-product preset "pslz").  Configs are JSON files; the same data can be
-given by flags.  Exit status: 0 success/VALID; 1 when a stage fails on an
-admissible pair (INVALID); 2 for parse or configuration errors, among them a
-pair that breaks a hypothesis (F acts freely, F is a proper subgroup of F',
-F' preserves the F-orbits), rejected before any stage runs; 3 for any other
+free-product preset "pslz"), verify (re-run a stored certificate).  Configs
+are JSON files; the same data can be given by flags.
+
+`COMMANDS` lists each command's flags, and `parse_args` reads them in one
+pass with the syntax argparse accepted: `--flag value` or `--flag=value`, any
+unique prefix of a flag, the last value of a repeated flag, `--` before the
+positional, and -h/--help; a usage error exits 2 with `error:` on stderr.
+`orbit` prints the certificate's orbit: words over the witness pair a, b and
+then the standard generators of F.
+
+Exit status: 0 success/VALID; 1 when a stage fails on an admissible pair
+(INVALID); 2 for parse or configuration errors, among them a pair that
+breaks a hypothesis (F acts freely, F is a proper subgroup of F', F'
+preserves the F-orbits), rejected before any stage runs; 3 for any other
 exception, an internal error such as a failed consistency check: a bug.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 
 from .cstar_obstruction import (
     build_certificate,
+    disjoint_support_pair,
     fixator_witness,
     group_source,
     normalize_config,
@@ -36,48 +46,19 @@ from .portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, decode_j
 from .tree_core import V0, DirectedEdge, PeriodicEnd, ray_prefix
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arboreal",
-        description="certificates for prescribed-local-action tree groups",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, helptext: str, *bounds: str) -> argparse.ArgumentParser:
-        # every command but verify names a group and writes its output to --out
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--preset", help="named group preset, e.g. g-alt3-sym3")
-        p.add_argument("--config", help="path to a JSON config file")
-        for flag in bounds:
-            p.add_argument(flag, type=int, default=None)
-        p.add_argument("--out", help="output path")
-        return p
-
-    command("certify", "run the full pipeline and write a certificate",
-            "--word-length", "--depth", "--seed")
-    command("classify", "classify one element and report class membership").add_argument(
-        "--element", required=True,
-        help="serialized element (JSON) or word in g0, g1, ... with ^-1")
-    command("orbit", "print a truncated boundary orbit", "--word-length", "--depth")
-    command("witness", "construct and print a half-tree fixator witness")
-    sub.add_parser("verify", help="re-run a stored certificate and compare").add_argument(
-        "certificate", help="path to a certificate file")
-    return parser
-
-
 def _load_config(args) -> dict:
     config: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+    if args.get("config"):
+        with open(args["config"]) as fh:
             config = decode_json(fh.read(), "config file")
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-    if getattr(args, "preset", None):
-        if config.get("preset") and config["preset"] != args.preset:
+    if args.get("preset"):
+        if config.get("preset") and config["preset"] != args["preset"]:
             raise ValueError("preset given both in the config file and on the command line")
-        config["preset"] = args.preset
+        config["preset"] = args["preset"]
     for key in ("word_length", "depth", "seed"):
-        value = getattr(args, key, None)
+        value = args.get(key)
         if value is not None:
             config[key] = value
     return config
@@ -113,7 +94,7 @@ def _write_or_print(text: str, out_path) -> None:
 def cmd_certify(args) -> int:
     cert = build_certificate(_load_config(args))
     text = serialize_certificate(cert)
-    out_path = args.out or "certificate.txt"
+    out_path = args["out"] or "certificate.txt"
     with open(out_path, "w") as fh:
         fh.write(text)
     print(f"group: {cert.group.get('label', '?')}")
@@ -129,7 +110,7 @@ def cmd_certify(args) -> int:
 def cmd_classify(args) -> int:
     config = _load_config(args)
     F, Fp, label = resolve_groups(config)
-    g = _parse_element(args.element, standard_generators(F), F.degree)
+    g = _parse_element(args["element"], standard_generators(F), F.degree)
     cls = classify_isometry(g)
     if isinstance(cls, Elliptic):
         vname = "".join(map(str, cls.fixed_vertex)) or "v0"
@@ -146,14 +127,16 @@ def cmd_classify(args) -> int:
         "G(F,F')*": GroupClass.prescribed_star(F, Fp).contains(g),
     }
     lines += [f"member of {name}: {'yes' if member else 'no'}" for name, member in flags.items()]
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    _write_or_print("\n".join(lines) + "\n", args["out"])
     return 0
 
 
 def cmd_orbit(args) -> int:
     config = normalize_config(_load_config(args))
     F, Fp, label = resolve_groups(config)
-    gens = standard_generators(F)
+    require_admissible_pair(F, Fp)
+    # the certificate's orbit: the witness pair, then the generators of F
+    gens = [*disjoint_support_pair(F, Fp, DirectedEdge(V0, 0)), *standard_generators(F)]
     xi = PeriodicEnd((), (0, 1))
     orbit = orbit_truncate(gens, xi, config["word_length"], config["depth"])
     print(f"group: {label}")
@@ -166,7 +149,7 @@ def cmd_orbit(args) -> int:
         wname = ".".join(map(str, word)) or "e"
         lines.append(f"  {wname}: {''.join(map(str, ray_prefix(*end, orbit.depth)))}")
     output = "\n".join(lines) + "\n"
-    _write_or_print(output, args.out)
+    _write_or_print(output, args["out"])
     return 0
 
 
@@ -205,30 +188,155 @@ def cmd_witness(args) -> int:
     print(f"witness fixing the half-tree at edge (v0, color 0); stabilizer reason: "
           f"{stab.amenability_reason}")
     data = json.dumps(aut_to_data(g), sort_keys=True)
-    _write_or_print(data + "\n", args.out)
+    _write_or_print(data + "\n", args["out"])
     return 0
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate) as fh:
+    with open(args["certificate"]) as fh:
         text = fh.read()
     ok, msg = verify_certificate(text)
     print(msg)
     return 0 if ok else 1
 
 
+# each command: its handler, summary and the options it takes.  Every option
+# but the positional `certificate` is a flag with one value, an int for the
+# bounds.
+COMMANDS = {
+    "certify": (cmd_certify, "run the full pipeline and write a certificate",
+                ("--preset", "--config", "--word-length", "--depth", "--seed", "--out")),
+    "classify": (cmd_classify, "classify one element and report class membership",
+                 ("--preset", "--config", "--out", "--element")),
+    "orbit": (cmd_orbit, "print a truncated boundary orbit",
+              ("--preset", "--config", "--word-length", "--depth", "--out")),
+    "witness": (cmd_witness, "construct and print a half-tree fixator witness",
+                ("--preset", "--config", "--out")),
+    "verify": (cmd_verify, "re-run a stored certificate and compare", ("certificate",)),
+}
+_INTS = ("--word-length", "--depth", "--seed")
+_REQUIRED = ("--element", "certificate")
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _key(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: arboreal [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = ["usage: arboreal", command, "[-h]"]
+    for flag in COMMANDS[command][2]:
+        word = flag if flag == "certificate" else f"{flag} {_key(flag).upper()}"
+        words.append(word if flag in _REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _fail(command, message: str):
+    prog = f"arboreal {command}" if command else "arboreal"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(arg: str, names, command):
+    """How argparse reads arg against the flags `names`: None for a
+    positional, else (flag, explicit value or None), with flag "" for an
+    unknown one.  A flag may be any unique prefix of its name, and "-" alone,
+    a negative number and a word with a space are positionals."""
+    if arg in names:
+        return arg, None
+    if arg[:1] != "-" or arg == "-":
+        return None
+    head, eq, value = arg.partition("=")
+    if eq and head in names:
+        return head, value
+    if arg[:2] == "-h":  # -h glued to a value
+        return "-h", arg[2:]
+    if arg[:2] == "--":
+        matches = [n for n in names if n.startswith(head)]
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    return None if _NEGATIVE.match(arg) or " " in arg else ("", None)
+
+
+def parse_args(argv: list[str]) -> dict:
+    """Parse the command line in one pass, as argparse did for the same
+    commands: `--flag value` or `--flag=value`, any unique prefix of a flag,
+    the last of a repeated flag, `--` before positionals, and -h/--help
+    anywhere.  Returns the command and every option of that command (None
+    where not given); a usage error prints `error:` to stderr and raises
+    SystemExit(2), and help raises SystemExit(0)."""
+    args: dict = {}
+    command, flags, names, extras, positionals = None, (), _HELP, [], False
+    argv, i = list(argv), 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg == "--" and command is not None and not positionals:
+            positionals = True
+            if "certificate" not in flags:  # as in argparse, no positional takes it
+                extras.append(arg)
+            continue
+        option = None if positionals or arg == "--" else _option(arg, names, command)
+        if option is None:
+            if command is None:
+                if arg not in COMMANDS:
+                    _fail(None, f"argument command: invalid choice: {arg!r} "
+                                f"(choose from {', '.join(map(repr, COMMANDS))})")
+                command, flags = arg, COMMANDS[arg][2]
+                names = _HELP + tuple(f for f in flags if f.startswith("-"))
+                args = {"command": arg, **dict.fromkeys(map(_key, flags))}
+                # argparse reads every flag before it acts on any, so an
+                # ambiguous prefix fails even behind -h
+                later = argv[i:]
+                for word in later[:later.index("--")] if "--" in later else later:
+                    _option(word, names, command)
+            elif "certificate" in flags and args["certificate"] is None:
+                args["certificate"] = arg
+            else:
+                extras.append(arg)
+            continue
+        flag, value = option
+        if not flag:
+            extras.append(arg)
+            continue
+        if flag in _HELP:
+            if value is not None:
+                _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            print(_usage(command))
+            for name, (_, summary, _) in COMMANDS.items():
+                if command in (None, name):
+                    print(f"  {name:9} {summary}")
+            raise SystemExit(0)
+        if value is None:
+            if i == len(argv) or argv[i] == "--" or _option(argv[i], names, command):
+                _fail(command, f"argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        if flag in _INTS:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(command, f"argument {flag}: invalid int value: {value!r}")
+        args[_key(flag)] = value
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    missing = [f for f in _REQUIRED if f in flags and args[_key(f)] is None]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:  # argparse reports them as the top-level parser
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "certify": cmd_certify,
-        "classify": cmd_classify,
-        "orbit": cmd_orbit,
-        "witness": cmd_witness,
-        "verify": cmd_verify,
-    }
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args["command"]][0](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

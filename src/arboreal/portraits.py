@@ -286,10 +286,16 @@ class TreeAut:
         the cocycle rule sigma(g h, n) = sigma(g, h(n)) * sigma(h, n).  h's
         image of and local action at each support vertex are passed down
         from its parent, so each frontier edge takes one step from its tail.
+        A product with the identity is the other factor itself: elements are
+        canonical and immutable, and it keeps its cached key and inverse.
         """
         g, h = self, other
         if g.deg != h.deg:
             raise PortraitError("cannot compose automorphisms of different trees")
+        if h.is_identity():
+            return g
+        if g.is_identity():
+            return h
         support = prefix_closure(set(h.core) | {h.preimage(u) for u in g.core})
         img, act = {V0: h.base}, {V0: h.core[V0]}  # u -> h(u), sigma(h, u)
 

@@ -1,5 +1,6 @@
 """Command-line front-end: exit codes, determinism, and report content."""
 
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from arboreal.cli import main
+from arboreal.cli import main, parse_args
 from arboreal.cstar_obstruction import normalize_config
 from arboreal.perm_groups import cyclic_table
 
@@ -295,7 +296,30 @@ def test_orbit_below_the_heuristic_depth_warns(capsys):
     )
     assert code == 0
     assert stdout.splitlines()[2] == "warning: depth below heuristic bound 14"
-    assert "points: 20" in stdout
+    assert "points: 23" in stdout
+
+
+PRESETS = ["g-alt3-sym3", "g-cycle5-alt5", "wreath-z2-z2", "wreath-z2-z3", "wreath-z3-z2",
+           "z-translations"]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_orbit_prints_the_certificates_orbit(tmp_path, capsys, preset):
+    out = tmp_path / "c.txt"
+    assert main(["certify", "--preset", preset, "--out", str(out)]) == 0
+    capsys.readouterr()
+    code, stdout, _ = run_cli(["orbit", "--preset", preset], capsys)
+    assert code == 0
+    points = json.loads(out.read_text().partition("\n")[2])["orbit"]["points"]
+    assert f"points: {points}\n" in stdout
+
+
+def test_orbit_inadmissible_pair_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_pair(_spec("trivial", 3), _spec("symmetric", 3))))
+    code, stdout, err = run_cli(["orbit", "--config", str(cfg)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {ORBITS}")
 
 
 def test_witness_pslz_preset(capsys):
@@ -546,7 +570,7 @@ def test_inadmissible_pair_exits_2_before_any_stage(tmp_path, capsys, monkeypatc
     assert calls == []
 
 
-@pytest.mark.parametrize("command", ["certify", "witness"])
+@pytest.mark.parametrize("command", ["certify", "orbit", "witness"])
 def test_admissibility_is_checked_once_per_command(tmp_path, capsys, monkeypatch, command):
     from arboreal import cstar_obstruction
 
@@ -755,3 +779,138 @@ def test_cli_import_leaves_heavy_stdlib_modules_unloaded():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_cli_certify_and_verify_leave_argparse_and_gettext_unloaded(tmp_path):
+    probe = ("import sys\n"
+             "def loaded():\n"
+             "    return sorted(m for m in ('argparse', 'gettext') if m in sys.modules)\n"
+             "import arboreal.cli\n"
+             "found = [loaded()]\n"
+             "cert = sys.argv[1]\n"
+             "assert arboreal.cli.main(['certify', '--preset', 'g-alt3-sym3', '--word-length', '2',"
+             " '--out', cert]) == 0\n"
+             "assert arboreal.cli.main(['verify', cert]) == 0\n"
+             "found.append(loaded())\n"
+             "print(found, file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(tmp_path / "c.txt")],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr == "[[], []]\n"
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line used before its flag table: the
+    reference that `parse_args` must agree with."""
+    parser = argparse.ArgumentParser(
+        prog="arboreal",
+        description="certificates for prescribed-local-action tree groups",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, helptext: str, *bounds: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=helptext)
+        p.add_argument("--preset", help="named group preset, e.g. g-alt3-sym3")
+        p.add_argument("--config", help="path to a JSON config file")
+        for flag in bounds:
+            p.add_argument(flag, type=int, default=None)
+        p.add_argument("--out", help="output path")
+        return p
+
+    command("certify", "run the full pipeline and write a certificate",
+            "--word-length", "--depth", "--seed")
+    command("classify", "classify one element and report class membership").add_argument(
+        "--element", required=True,
+        help="serialized element (JSON) or word in g0, g1, ... with ^-1")
+    command("orbit", "print a truncated boundary orbit", "--word-length", "--depth")
+    command("witness", "construct and print a half-tree fixator witness")
+    sub.add_parser("verify", help="re-run a stored certificate and compare").add_argument(
+        "certificate", help="path to a certificate file")
+    return parser
+
+
+ACCEPTED = [
+    ["certify", "--preset", "g-alt3-sym3"],
+    ["certify", "--preset=g-alt3-sym3", "--word-length=3", "--out=c.txt", "--config=a=b"],
+    ["certify", "--word", "2", "--d", "5", "--pre", "p", "--se=4", "--o", "o.txt"],
+    ["certify", "--depth", "3", "--preset", "p", "--depth", "7", "--preset", "q"],
+    ["certify", "--depth", "-1", "--seed=-5", "--word-length", " 2"],
+    ["certify", "--out", "-", "--preset", "", "--config="],
+    ["classify", "--element", "g3 g0^-1", "--preset", "p"],
+    ["classify", "--element", "-g0 g1", "--el=--x"],
+    ["orbit", "--config", "c.json", "--word-length", "4", "--depth", "12"],
+    ["witness"],
+    ["witness", "--out", "w.json", "--pres", "pslz"],
+    ["verify", "cert.txt"],
+    ["verify", "--", "cert.txt"],
+    ["verify", "--", "--out"],
+    ["verify", "-"],
+    ["verify", "-1"],
+]
+
+REJECTED = [
+    [],
+    ["--preset", "p"],
+    ["frob"],
+    ["certify", "--out", "--preset", "p"],
+    ["certify", "--out"],
+    ["certify", "--preset", "-x"],
+    ["certify", "--depth", "x"],
+    ["certify", "--depth", "2.5"],
+    ["certify", "--depth="],
+    # "--" is a prefix of every flag; it is the only ambiguous one, since no
+    # two flags of one command share a first letter
+    ["certify", "--=3"],
+    ["certify", "--bogus"],
+    ["certify", "-x"],
+    ["certify", "stray"],
+    ["certify", "--", "--preset", "p"],
+    ["certify", "--element", "g0"],
+    ["certify", "--help=1"],
+    ["classify", "--preset", "p"],
+    ["classify", "--element"],
+    ["orbit", "--seed", "1"],
+    ["witness", "--depth", "3"],
+    ["verify"],
+    ["verify", "a", "b"],
+    ["verify", "c.txt", "--out", "o.txt"],
+]
+
+HELP = [["-h"], ["--help"], ["--he"], ["certify", "-h"], ["classify", "--help"],
+        ["verify", "--h"], ["certify", "--bogus", "-h"], ["orbit", "--depth", "3", "-h"]]
+
+
+def _argv_id(argv):
+    return "|".join(argv).replace(" ", "_") or "no-arguments"
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=_argv_id)
+def test_parser_accepts_what_argparse_accepted(argv):
+    assert parse_args(argv) == vars(_build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=_argv_id)
+def test_parser_rejects_what_argparse_rejected(argv, capsys):
+    for parse in (parse_args, _build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", HELP, ids=_argv_id)
+def test_parser_help_exits_0(argv, capsys):
+    for parse in (parse_args, _build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: arboreal")
+
+
+def test_negative_depth_reaches_the_config_check(tmp_path, capsys):
+    out = tmp_path / "c.txt"
+    code, stdout, err = run_cli(["certify", "--preset", "g-alt3-sym3", "--depth", "-1",
+                                 "--out", str(out)], capsys)
+    assert (code, stdout, err) == (2, "", "error: numeric bounds must be positive\n")
+    assert not out.exists()

@@ -153,6 +153,11 @@ def test_group_laws(data):
     assert (g * h) * k == g * (h * k)
     assert (g * g.inverse()).is_identity()
     assert (g.inverse() * g).is_identity()
+    # the unit law returns the other factor itself, not an equal copy; of
+    # two identities, the left one
+    e = TreeAut.identity(g.deg)
+    assert g * e is g
+    assert e * g is (e if g.is_identity() else g)
     gh = g * h
     for v in _ball(g):
         assert gh.evaluate(v) == g.evaluate(h.evaluate(v))
