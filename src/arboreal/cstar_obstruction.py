@@ -221,15 +221,18 @@ class AnnihilationReport(Record):
 def convolution_annihilation_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncation) -> AnnihilationReport:
     """Verify on exact ends that applying (1-a)(1-b) to each orbit point's
     basis vector gives zero: the multiset {eta, a b eta} must equal
-    {a eta, b eta}.  One pass per point computes a eta, b eta and a b eta,
-    which is a eta where b fixes eta, and records the point's word if both
-    a and b move it.  A failure names the four ends by their ray prefixes
-    at the orbit's depth."""
+    {a eta, b eta}.  One pass per point computes b eta and, where b moves
+    eta, a eta and a b eta, and records the point's word if both a and b
+    move it.  Where b fixes eta both multisets are {eta, a eta}, so the point
+    passes and is no overlap whatever a eta is.  A failure names the four
+    ends by their ray prefixes at the orbit's depth."""
     failures, overlaps = [], []
     for word, eta in orbit.points:
-        a_eta, b_eta = a.end_image(*eta), b.end_image(*eta)
-        ab_eta = a_eta if b_eta == eta else a.end_image(*b_eta)
-        if a_eta != eta and b_eta != eta:
+        b_eta = b.end_image(*eta)
+        if b_eta == eta:
+            continue
+        a_eta, ab_eta = a.end_image(*eta), a.end_image(*b_eta)
+        if a_eta != eta:
             overlaps.append(word)
         if sorted([eta, ab_eta]) != sorted([a_eta, b_eta]):
             rays = [ray_prefix(*end, orbit.depth) for end in (eta, a_eta, b_eta, ab_eta)]

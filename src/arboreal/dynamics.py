@@ -120,10 +120,12 @@ def _axis_ray(element: TreeAut, start: Vertex, length: int, depth: int) -> Verte
     return ray
 
 
-def axis_and_ends(g: TreeAut, depth: int) -> tuple[Vertex, Vertex]:
+def axis_and_ends(g: TreeAut, depth: int, cls: Hyperbolic | None = None) -> tuple[Vertex, Vertex]:
     """Ray prefixes of length `depth` of the attracting and repelling fixed
-    ends of a hyperbolic element."""
-    cls = classify_isometry(g)
+    ends of a hyperbolic element.  `cls`, if given, is the element's
+    classification, which is then not computed again."""
+    if cls is None:
+        cls = classify_isometry(g)
     if not isinstance(cls, Hyperbolic):
         raise ValueError(f"axis ends need a hyperbolic element, got {cls!r}")
     w, length = cls.axis_point, cls.length
@@ -227,8 +229,8 @@ def general_type_witness(gens: list[TreeAut], search_len: int):
     depth = max(2 * search_len * bound, 8)
     seen: list[tuple[TreeAut, tuple[Vertex, Vertex]]] = []
     for _, el in enumerate_products(gens, search_len):
-        if isinstance(classify_isometry(el), Hyperbolic):
-            ends = axis_and_ends(el, depth)
+        if isinstance(cls := classify_isometry(el), Hyperbolic):
+            ends = axis_and_ends(el, depth, cls)
             for earlier, earlier_ends in seen:
                 if len(set(earlier_ends + ends)) == 4:
                     return earlier, el

@@ -39,16 +39,17 @@ class Perm:
     Without, it is the integer permutation x -> shift + patch.get(x, x); the
     patch is a finitary bijection stored without fixed points, which makes
     the pair (shift, patch) a unique normal form, so equality is structural.
-    `kind` is derived: "f" with a table, "z" without.
+    `kind` and `degree` are derived: "f" and the table's length with a
+    table, "z" and None without.
     """
 
-    __slots__ = ("kind", "table", "shift", "patch", "_pmap")
+    __slots__ = ("kind", "degree", "table", "shift", "patch", "_pmap")
 
     def __init__(self, table=None, shift=0, patch=()):
         if table is not None:
             self.kind = "f"
             self.table = tuple(table)
-            d = len(self.table)
+            self.degree = d = len(self.table)
             if sorted(self.table) != list(range(d)):
                 raise ValueError(f"not a bijection of range({d}): {table!r}")
             self.shift = 0
@@ -56,6 +57,7 @@ class Perm:
             self._pmap = None
         else:
             self.kind = "z"
+            self.degree = None
             self.table = None
             self.shift = int(shift)
             items = {int(x): int(y) for x, y in dict(patch).items() if int(x) != int(y)}
@@ -90,10 +92,6 @@ class Perm:
         return Perm(patch={p: q, q: p})
 
     # -- group operations --------------------------------------------------
-
-    @property
-    def degree(self) -> int | None:
-        return None if self.kind == "z" else len(self.table)
 
     def __call__(self, c: int) -> int:
         if self.kind == "f":
@@ -147,7 +145,9 @@ class Perm:
         return ("z", self.shift, self.patch)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.key() == other.key()
+        # the fields that `key` holds, compared without building it
+        return (isinstance(other, Perm) and self.table == other.table
+                and self.shift == other.shift and self.patch == other.patch)
 
     def __hash__(self) -> int:
         return hash(self.key())

@@ -409,7 +409,7 @@ def piecewise_decomposition(g: TreeAut, F: PermGroup) -> PiecewiseAut:
     for u in g.core:
         for c in g.frontier_colors(u):
             n = u + (c,)
-            f = g.branches[(u, c)]
+            f = g.frontier_rule(u, c)
             b = g.evaluate(n)
             for letter in reversed(n):
                 b = neighbor(b, f(letter))

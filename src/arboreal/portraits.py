@@ -12,13 +12,13 @@ branch.  Every witness element constructed here is of this shape and the
 family is closed under composition and inversion.  Composition obeys the
 cocycle rule sigma(g h, v) = sigma(g, h(v)) * sigma(h, v).
 
-Finite and integer color sets share one view of the branch rules at a core
-vertex u: explicit rules for some frontier colors, plus an optional default
-rule for every frontier color not listed.  Over the integers u has infinitely
-many branches, so it always carries a default and lists only the exceptions
-to it.  A finite frontier is always listed in full: defaults given at a
-finite degree are expanded into explicit rules when the element is built, so
-a finite element stores no defaults and serializes without them.
+Finite and integer color sets store the branch rules at a core vertex u the
+same way: a default rule, the one most frontier colors of u follow, and
+explicit rules for the colors that differ from it.  Over the integers u has
+infinitely many branches, of which all but finitely many follow one rule.
+At a finite degree the smallest color breaks a tie, and a vertex with no
+frontier color has no default.  A finite element still serializes every
+frontier rule explicitly and no defaults.
 
 Every element is built in its canonical (minimal-core) form, so equal
 automorphisms have equal stored maps.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain
+from itertools import chain, count
 
 from .perm_groups import Perm, PermGroup, perm_disagreement
 from .tree_core import (
@@ -48,6 +48,32 @@ class PortraitError(ValueError):
     """The data does not describe a valid branch-constant automorphism."""
 
 
+def _domain_error(p: Perm, deg: int | None) -> PortraitError:
+    return PortraitError(f"permutation domain {p!r} does not match degree {deg}")
+
+
+def _absorb_leaves(core, rules, defaults, kids, deg):
+    """Reach the unique minimal core: a core leaf whose frontier rules all
+    equal its permutation becomes its parent's listed rule there.  A finite
+    leaf whose colors are all listed ignores its default, which covers none.
+    One sweep from the longest vertices down suffices, since a parent is
+    visited after its children.  That rule agrees with the core edge it
+    replaces, so the maps stay valid without a second validation."""
+    for u in sorted(core, key=len, reverse=True):
+        sigma, own = core[u], rules.get(u, {})
+        if (
+            u
+            and not kids[u]
+            and all(f == sigma for f in own.values())
+            and (defaults.get(u) == sigma or (deg is not None and len(own) == deg - 1))
+        ):
+            del core[u]
+            rules.pop(u, None)
+            defaults.pop(u, None)
+            kids[u[:-1]] -= 1
+            rules.setdefault(u[:-1], {})[u[-1]] = sigma
+
+
 class TreeAut:
     """A branch-constant tree automorphism.
 
@@ -56,9 +82,11 @@ class TreeAut:
     branches  -- explicit branch rules keyed by frontier edge (vertex, color).
     defaults  -- per core vertex, the rule of every frontier color that
                  `branches` leaves out.  Integer colors need one at every
-                 core vertex.  Once validated, finite defaults are expanded
-                 into explicit rules, so a finite element keeps this map
-                 empty; integer ones drop the explicit rules equal to them.
+                 core vertex.  Once validated, each vertex keeps the rule of
+                 the most frontier colors (at a finite degree, of the
+                 smallest color among equals) as its default, and `branches`
+                 only the rules that differ from it, so a finite vertex has
+                 a default exactly when it has a frontier color.
     deg       -- derived from the core: the finite degree, or None.
 
     `frontier_rule(u, c)` reads the branch rules at u the same way on both
@@ -74,23 +102,80 @@ class TreeAut:
 
     def __init__(self, base, core, branches=None, defaults=None):
         self.base = check_vertex(base)
-        self.core = {check_vertex(v): p for v, p in core.items()}
-        if V0 not in self.core:
+        core = {check_vertex(v): p for v, p in core.items()}
+        if V0 not in core:
             raise PortraitError("core must contain the base vertex")
-        self.deg = self.core[V0].degree
-        self.branches = {(check_vertex(u), int(c)): f for (u, c), f in (branches or {}).items()}
-        self.defaults = {check_vertex(v): p for v, p in (defaults or {}).items()}
+        self.deg = deg = core[V0].degree
+        if deg is not None and deg < 3:
+            raise PortraitError("finite color sets need at least three colors")
+        defaults = {check_vertex(v): p for v, p in (defaults or {}).items()}
+        # one pass over each map checks it; `kids` counts each core vertex's
+        # core children and `rules` collects its listed rules by color
+        kids = dict.fromkeys(core, 0)
+        for v, p in core.items():
+            if p.degree != deg:
+                raise _domain_error(p, deg)
+            if v:
+                parent = core.get(v[:-1])
+                if parent is None:
+                    raise PortraitError(f"core is not connected at {v!r}")
+                # adjacent core vertices agree on the joining edge color; a
+                # parent of another degree fails its own check
+                if parent.degree == deg and parent(v[-1]) != p(v[-1]):
+                    raise PortraitError(f"edge compatibility fails at core edge into {v!r}")
+                kids[v[:-1]] += 1
+        rules: dict[Vertex, dict[int, Perm]] = {}
+        for (u, c), f in (branches or {}).items():
+            u, c = check_vertex(u), int(c)
+            if f.degree != deg:
+                raise _domain_error(f, deg)
+            sigma = core.get(u)
+            if sigma is None or (u and c == u[-1]) or u + (c,) in core:
+                raise PortraitError(f"branch rule at non-frontier edge ({u!r}, {c})")
+            if f(c) != sigma(c):
+                raise PortraitError(f"edge compatibility fails at frontier ({u!r}, {c})")
+            rules.setdefault(u, {})[c] = f
+        # a default agrees with the core at every frontier color it covers
+        for u, f in defaults.items():
+            if f.degree != deg:
+                raise _domain_error(f, deg)
+            if u not in core:
+                raise PortraitError(f"default at non-core vertex {u!r}")
+            bad = perm_disagreement(f, core[u])
+            if bad is None:
+                raise PortraitError(f"default at {u!r} disagrees with the core cofinitely")
+            listed = rules.get(u, ())
+            bad = sorted(c for c in bad
+                         if (not u or c != u[-1]) and u + (c,) not in core and c not in listed)
+            if bad:
+                raise PortraitError(f"default at {u!r} breaks compatibility at colors {bad}")
+        if len(core) > 1:
+            _absorb_leaves(core, rules, defaults, kids, deg)
+        # every frontier edge has a rule, and each vertex keeps its canonical
+        # default and the rules that differ from it
+        self.core, self.branches, self.defaults = core, {}, {}
+        for u in core:
+            own, f = rules.get(u, {}), defaults.get(u)
+            exc = {c: r for c, r in own.items() if r != f}
+            if deg is None:
+                if f is None:
+                    raise PortraitError(f"core vertex {u!r} lacks a default branch constant")
+            elif f is None or 2 * len(exc) >= deg - kids[u] - bool(u):
+                # f is no strict majority of u's deg - kids[u] - bool(u)
+                # frontier rules, so they are counted
+                frontier = {c: own.get(c, f) for c in range(deg)
+                            if (not u or c != u[-1]) and u + (c,) not in core}
+                missing = [c for c, r in frontier.items() if r is None]
+                if missing:
+                    raise PortraitError(f"frontier edges without rules at {u!r}: {missing}")
+                counts = Counter(frontier.values())
+                f = max(counts, key=counts.__getitem__, default=None)
+                exc = {c: r for c, r in frontier.items() if r != f}
+            if f is not None:
+                self.defaults[u] = f
+            self.branches.update(((u, c), r) for c, r in exc.items())
         self._inv = self._key = None
-        self._validate()
-        if self.deg is not None:
-            for u, f in self.defaults.items():
-                for c in self.frontier_colors(u):
-                    self.branches.setdefault((u, c), f)
-            self.defaults = {}
-        else:
-            self.branches = {e: f for e, f in self.branches.items() if f != self.defaults[e[0]]}
-        self._absorb_leaves()
-        self._cut = max(map(len, (self.base, *self.core)))
+        self._cut = max(map(len, (self.base, *core)))
 
     # -- structure helpers ---------------------------------------------------
 
@@ -114,73 +199,6 @@ class TreeAut:
             raise PortraitError(f"({u}, {c}) is not a frontier edge")
         f = self.branches.get((u, c))
         return self.defaults[u] if f is None else f
-
-    def _validate(self):
-        if self.deg is not None and self.deg < 3:
-            raise PortraitError("finite color sets need at least three colors")
-        for v in self.core:
-            if v and v[:-1] not in self.core:
-                raise PortraitError(f"core is not connected at {v!r}")
-        for p in chain(self.core.values(), self.branches.values(), self.defaults.values()):
-            if p.degree != self.deg:
-                raise PortraitError(f"permutation domain {p!r} does not match degree {self.deg}")
-        # adjacent core vertices agree on the joining edge color
-        for v, p in self.core.items():
-            if v and self.core[v[:-1]](v[-1]) != p(v[-1]):
-                raise PortraitError(f"edge compatibility fails at core edge into {v!r}")
-        # branch rules agree with the core on the frontier edge color
-        for (u, c), f in self.branches.items():
-            if u not in self.core or not self.is_frontier_color(u, c):
-                raise PortraitError(f"branch rule at non-frontier edge ({u!r}, {c})")
-            if f(c) != self.core[u](c):
-                raise PortraitError(f"edge compatibility fails at frontier ({u!r}, {c})")
-        # a default agrees with the core at every frontier color it covers
-        for u, f in self.defaults.items():
-            if u not in self.core:
-                raise PortraitError(f"default at non-core vertex {u!r}")
-            bad = perm_disagreement(f, self.core[u])
-            if bad is None:
-                raise PortraitError(f"default at {u!r} disagrees with the core cofinitely")
-            bad = sorted(c for c in bad
-                         if self.is_frontier_color(u, c) and (u, c) not in self.branches)
-            if bad:
-                raise PortraitError(f"default at {u!r} breaks compatibility at colors {bad}")
-        # every frontier edge has a rule: a listed one or its vertex's default
-        for u in self.core.keys() - self.defaults.keys():
-            if self.deg is None:
-                raise PortraitError(f"core vertex {u!r} lacks a default branch constant")
-            missing = [c for c in self.frontier_colors(u) if (u, c) not in self.branches]
-            if missing:
-                raise PortraitError(f"frontier edges without rules at {u!r}: {missing}")
-
-    def _absorb_leaves(self):
-        """Reach the unique minimal core: a core leaf whose branch rules and
-        default all equal its permutation becomes its parent's rule there.
-        One sweep from the longest vertices down suffices, since a parent is
-        visited after its children.  That rule agrees with the core edge it
-        replaces, so the maps stay valid without a second validation."""
-        core, branches, defaults = self.core, self.branches, self.defaults
-        rules: dict[Vertex, dict[int, Perm]] = {}
-        for (u, c), f in branches.items():
-            rules.setdefault(u, {})[c] = f
-        children = Counter(v[:-1] for v in core if v)
-        for u in sorted(core, key=len, reverse=True):
-            sigma = core[u]
-            if (
-                not u
-                or children[u]
-                or defaults.get(u, sigma) != sigma
-                or any(f != sigma for f in rules.get(u, {}).values())
-            ):
-                continue
-            del core[u]
-            defaults.pop(u, None)
-            for c in rules.pop(u, ()):
-                del branches[(u, c)]
-            parent = u[:-1]
-            children[parent] -= 1
-            if defaults.get(parent) != sigma:
-                rules.setdefault(parent, {})[u[-1]] = branches[(parent, u[-1])] = sigma
 
     # -- evaluation ---------------------------------------------------------
 
@@ -266,13 +284,19 @@ class TreeAut:
     def extended(self, verts) -> tuple[dict, dict, dict]:
         """The maps (core, branches, defaults) of this automorphism over the
         prefix closure of its core plus verts: a new core vertex carries the
-        constant of the branch it was in as its default.  An element built
-        from them absorbs the padding again."""
+        constant of the branch it was in as its default.  As in a stored
+        element, a finite default is kept only where it covers a frontier
+        color.  An element built from them absorbs the padding again."""
         target = prefix_closure(set(self.core) | {tuple(v) for v in verts})
         core = {v: self.local_action(v) for v in target}
         defaults = {u: core[u] for u in target if u not in self.core}
         defaults.update(self.defaults)
         branches = {(u, c): f for (u, c), f in self.branches.items() if u + (c,) not in target}
+        if self.deg is not None:
+            # a default stays only where a frontier color is neither a core
+            # child, nor the parent, nor listed
+            taken = Counter(v[:-1] for v in target if v) + Counter(u for u, _ in branches)
+            defaults = {u: f for u, f in defaults.items() if taken[u] + bool(u) < self.deg}
         return core, branches, defaults
 
     def canonical(self) -> "TreeAut":
@@ -317,25 +341,23 @@ class TreeAut:
         branches = {}
         defaults = {}
         for u in support:
-            if g.deg is None:
-                # the colors whose rule may differ from the generic one, and a
-                # fresh color standing in for all the others
-                hu = img[u]
-                if hu in g.core:
-                    img_special = {c for (w, c) in g.branches if w == hu}
-                    img_special |= g._core_edge_colors(hu)
-                else:
-                    img_special = {hu[-1]} if hu else set()
-                inv = act[u].inv()
-                colors = {c for (w, c) in h.branches if w == u} | {inv(c) for c in img_special}
-                blocked = colors | {w[-1] for w in support if w and w[:-1] == u}
-                if u:
-                    blocked.add(u[-1])
-                defaults[u] = rule(u, max(blocked, default=0) + 1)
-                colors = sorted(colors)
+            # the colors whose rule may differ from the generic one, and the
+            # first free color standing in for all the others, if one is left
+            hu = img[u]
+            if hu in g.core:
+                img_special = {c for (w, c) in g.branches if w == hu}
+                img_special |= g._core_edge_colors(hu)
             else:
-                colors = range(g.deg)
-            for c in colors:
+                img_special = {hu[-1]}
+            inv = act[u].inv()
+            colors = {c for (w, c) in h.branches if w == u} | {inv(c) for c in img_special}
+            blocked = colors | {w[-1] for w in support if w and w[:-1] == u}
+            if u:
+                blocked.add(u[-1])
+            free = next(c for c in count() if c not in blocked)
+            if g.deg is None or free < g.deg:
+                defaults[u] = rule(u, free)
+            for c in sorted(colors):
                 if (not u or c != u[-1]) and u + (c,) not in support:
                     branches[(u, c)] = rule(u, c)
         return TreeAut(g.evaluate(h.base), core, branches, defaults)
@@ -638,11 +660,18 @@ def perm_from_data(data) -> Perm:
 
 
 def aut_to_data(g: TreeAut) -> dict:
+    """The element as JSON data.  At a finite degree every frontier rule is
+    listed and no defaults are written; over the integers the defaults and
+    the rules that differ from them are."""
+    if g.deg is None:
+        branches = g.branches.items()
+    else:
+        branches = (((u, c), g.frontier_rule(u, c)) for u in g.core for c in g.frontier_colors(u))
     out = {
         "degree": g.deg,
         "base": list(g.base),
         "core": sorted([list(v), perm_to_data(p)] for v, p in g.core.items()),
-        "branches": sorted([list(u), col, perm_to_data(f)] for (u, col), f in g.branches.items()),
+        "branches": sorted([list(u), col, perm_to_data(f)] for (u, col), f in branches),
     }
     if g.deg is None:
         out["defaults"] = sorted([list(v), perm_to_data(p)] for v, p in g.defaults.items())

@@ -154,6 +154,19 @@ def test_half_tree_fixation_agrees_with_ball_oracle():
             assert decided == oracle
 
 
+def test_half_tree_fixation_reads_no_default_the_padding_left_uncovered():
+    # at (1,) the frontier colors 0 and 2 tie one to one, so the smaller
+    # color makes the swap on the branch of (1, 0) the default; padding
+    # (1, 0) into the core leaves that default covering no frontier color,
+    # and the half-tree beyond the edge from (1, 0) to (1,) is fixed
+    swap = Perm.from_cycles(3, (1, 2))
+    g = TreeAut(V0, {V0: IDENT3, (1,): IDENT3}, {((1,), 0): swap, ((1,), 2): IDENT3}, {V0: IDENT3})
+    assert g.defaults == {V0: IDENT3, (1,): swap}
+    h = half_tree((1, 0), 0)
+    assert fixes_half_tree_pointwise(g, h)
+    assert not fixes_half_tree_pointwise(g, h.reversed())
+
+
 def test_half_tree_fixation_over_integer_colors():
     # constant translation moves every co-cylinder half-tree, fixes none
     t = TreeAut.from_constant(Perm.z_translation(1), V0)

@@ -309,8 +309,8 @@ def test_constructor_rejects_defaults_off_the_core():
     (Perm.identity(None), Perm.z_swap(0, 1)),
 ], ids=["finite", "integer"])
 def test_default_must_agree_with_the_core_at_unlisted_frontier_colors(sigma, default):
-    # validated before a finite default is expanded, so both color sets
-    # reject it by the same rule and with the same message
+    # both color sets check a default by the same rule and reject it with
+    # the same message
     with pytest.raises(PortraitError, match=r"breaks compatibility at colors \[0, 1\]"):
         TreeAut(V0, {V0: sigma}, defaults={V0: default})
 

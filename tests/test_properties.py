@@ -1,19 +1,22 @@
 """Property tests of the branch-rule view shared by finite and integer
-colors: canonical forms, the defaults expansion at a finite degree,
+colors: canonical forms, a default plus exceptions at a finite degree,
 serialization, the group laws, vertex evaluation against a letter-by-letter
 reference walk, and exact end images against image ray prefixes.
 
-Finite elements are random members of G(Alt(3), Sym(3)) and U(Sym(3)), and
-for end images of G(C5, Alt(5)); integer elements are short products of
+Finite elements are random members of G(Alt(3), Sym(3)), U(Sym(3)) and the
+degree-8 G(F, F') of the wreath pair (Z/2)^3 <= Z/2 wr Z/3, and for end
+images of G(C5, Alt(5)); integer elements are short products of
 half-tree fixator witnesses and translation constants, whose portraits carry
 defaults and exceptions.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arboreal.cstar_obstruction import fixator_witness, resolve_groups, standard_generators
-from arboreal.perm_groups import Perm, PermGroup
+from arboreal.perm_groups import Perm, PermGroup, cyclic_table, wreath_embedding
 from arboreal.portraits import (
     GroupClass,
     TreeAut,
@@ -27,16 +30,22 @@ from arboreal.tree_core import V0, PeriodicEnd, enumerate_ball, half_tree, neigh
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
 Z_F, Z_FP = PermGroup.z_translations(), PermGroup.z_finitary_affine()
+# degree 8, where most frontier colors of a vertex share one rule
+WREATH_CLASS = GroupClass.prescribed(*wreath_embedding(cyclic_table(2), cyclic_table(3))[:2])
 WINDOW = range(-2, 3)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
-finite_elements = st.builds(
-    random_element,
-    st.sampled_from([GroupClass.prescribed(ALT3, SYM3), GroupClass.universal(SYM3)]),
-    st.integers(0, 2),
-    st.integers(0, 10**6),
-)
+
+def _random_elements(classes, radii):
+    return st.builds(random_element, st.sampled_from(classes), radii, st.integers(0, 10**6))
+
+
+degree3_elements = _random_elements([GroupClass.prescribed(ALT3, SYM3), GroupClass.universal(SYM3)],
+                                    st.integers(0, 2))
+# a core radius of 0 gives only constants, which have no exceptions
+degree8_elements = _random_elements([WREATH_CLASS], st.integers(1, 2))
+finite_elements = st.one_of(degree3_elements, degree8_elements)
 
 
 def _reduced_words(max_len: int, colors=WINDOW):
@@ -68,6 +77,8 @@ def _product(factors):
 
 integer_elements = st.lists(integer_factors, min_size=1, max_size=2).map(_product)
 elements = st.one_of(finite_elements, integer_elements)
+# the strategies whose elements act on one tree, so that they compose
+same_tree_kinds = [degree3_elements, degree8_elements, integer_elements]
 
 
 def _ball(g, radius=2):
@@ -96,20 +107,37 @@ def test_extended_then_canonical_returns_the_key(g):
 
 @PROPERTY
 @given(finite_elements, st.integers(0, 2))
-def test_finite_defaults_expand_to_the_explicit_frontier(g, radius):
+def test_finite_frontier_is_stored_as_its_majority_rule_and_exceptions(g, radius):
+    for u in g.core:
+        frontier = {c: g.local_action(u + (c,)) for c in g.frontier_colors(u)}
+        counts = Counter(frontier.values())
+        # the rule of the most frontier colors, the smallest color breaking ties
+        majority = next((f for f in frontier.values() if counts[f] == max(counts.values())), None)
+        assert g.defaults.get(u) == majority
+        assert {c for (w, c) in g.branches if w == u} == {
+            c for c, f in frontier.items() if f != majority}
+    assert all(f != g.defaults[u] for (u, _), f in g.branches.items())
+    # the padded maps keep a default only where it covers a frontier color;
+    # the full explicit listing of their frontier rebuilds the element, and
+    # so does the rule of each vertex's last frontier color as its default
+    # with only the rules that differ from it listed
     core, branches, defaults = g.extended(_ball(g, radius))
-    # every padded core vertex with a frontier takes the rule of its last
-    # frontier color as default, and only the rules differing from it stay
+    full, last = {}, {}
     for u in core:
         cols = [c for c in range(g.deg) if (not u or c != u[-1]) and u + (c,) not in core]
+        assert (u in defaults) == any((u, c) not in branches for c in cols)
+        full.update(((u, c), g.local_action(u + (c,))) for c in cols)
         if cols:
-            defaults[u] = g.local_action(u + (cols[-1],))
-    sparse = {(u, c): f for (u, c), f in branches.items() if f != defaults[u]}
-    h = TreeAut(g.base, core, sparse, defaults)
-    assert h.branches == g.branches
-    assert h.defaults == {}
-    assert h == g
-    assert aut_to_data(h) == aut_to_data(g)
+            last[u] = g.local_action(u + (cols[-1],))
+    sparse = {(u, c): f for (u, c), f in full.items() if f != last[u]}
+    for h in (TreeAut(g.base, core, full), TreeAut(g.base, core, sparse, last)):
+        assert h == g
+        assert (h.branches, h.defaults) == (g.branches, g.defaults)
+    data = aut_to_data(g)
+    assert "defaults" not in data
+    assert data["branches"] == sorted(
+        [list(u), c, list(g.local_action(u + (c,)).table)]
+        for u in g.core for c in g.frontier_colors(u))
 
 
 def _absorbable_leaves(g):
@@ -130,7 +158,7 @@ def _absorbable_leaves(g):
 @PROPERTY
 @given(st.data())
 def test_products_and_inverses_are_built_canonical(data):
-    kind = data.draw(st.sampled_from([finite_elements, integer_elements]))
+    kind = data.draw(st.sampled_from(same_tree_kinds))
     g, h = data.draw(kind), data.draw(kind)
     for x in (g * h, g.inverse(), (h * g).inverse()):
         assert x.canonical() is x
@@ -148,7 +176,7 @@ def test_serialization_round_trip(g):
 @PROPERTY
 @given(st.data())
 def test_group_laws(data):
-    kind = data.draw(st.sampled_from([finite_elements, integer_elements]))
+    kind = data.draw(st.sampled_from(same_tree_kinds))
     g, h, k = data.draw(kind), data.draw(kind), data.draw(kind)
     assert (g * h) * k == g * (h * k)
     assert (g * g.inverse()).is_identity()
@@ -198,7 +226,7 @@ def reference_product(g, h):
 @PROPERTY
 @given(st.data())
 def test_product_matches_the_per_edge_reference(data):
-    kind = data.draw(st.sampled_from([finite_elements, integer_elements]))
+    kind = data.draw(st.sampled_from(same_tree_kinds))
     g, h = data.draw(kind), data.draw(kind)
     assert aut_to_data(g * h) == aut_to_data(reference_product(g, h))
     assert g.inverse() is g.inverse()
