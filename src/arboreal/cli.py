@@ -7,10 +7,11 @@ witness (half-tree fixator witnesses, or the branch-swap element over the
 free-product preset "pslz"), verify (re-run a stored certificate).  Configs
 are JSON files; the same data can be given by flags.
 
-`COMMANDS` lists each command's flags, and `parse_args` reads them in one
-pass with the syntax argparse accepted: `--flag value` or `--flag=value`, any
-unique prefix of a flag, the last value of a repeated flag, `--` before the
-positional, and -h/--help; a usage error exits 2 with `error:` on stderr.
+`COMMANDS` lists each command's flags.  `parse_args` reads the plain form,
+`--flag value` with full flag names, itself, and hands every other argv to an
+argparse parser built from the same table, so argparse alone defines the
+syntax: prefixes, `--flag=value`, `--`, -h/--help, and usage errors, which
+exit 2 with `error:` on stderr.
 `orbit` prints the certificate's orbit: words over the witness pair a, b and
 then the standard generators of F.
 
@@ -24,7 +25,6 @@ exception, an internal error such as a failed consistency check: a bug.
 from __future__ import annotations
 
 import json
-import re
 import sys
 
 from .cstar_obstruction import (
@@ -215,122 +215,55 @@ COMMANDS = {
     "verify": (cmd_verify, "re-run a stored certificate and compare", ("certificate",)),
 }
 _INTS = ("--word-length", "--depth", "--seed")
-_REQUIRED = ("--element", "certificate")
-_HELP = ("-h", "--help")
-_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 def _key(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-def _usage(command) -> str:
-    if command is None:
-        return "usage: arboreal [-h] {" + ",".join(COMMANDS) + "} ..."
-    words = ["usage: arboreal", command, "[-h]"]
-    for flag in COMMANDS[command][2]:
-        word = flag if flag == "certificate" else f"{flag} {_key(flag).upper()}"
-        words.append(word if flag in _REQUIRED else f"[{word}]")
-    return " ".join(words)
-
-
-def _fail(command, message: str):
-    prog = f"arboreal {command}" if command else "arboreal"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _option(arg: str, names, command):
-    """How argparse reads arg against the flags `names`: None for a
-    positional, else (flag, explicit value or None), with flag "" for an
-    unknown one.  A flag may be any unique prefix of its name, and "-" alone,
-    a negative number and a word with a space are positionals."""
-    if arg in names:
-        return arg, None
-    if arg[:1] != "-" or arg == "-":
-        return None
-    head, eq, value = arg.partition("=")
-    if eq and head in names:
-        return head, value
-    if arg[:2] == "-h":  # -h glued to a value
-        return "-h", arg[2:]
-    if arg[:2] == "--":
-        matches = [n for n in names if n.startswith(head)]
-        if len(matches) > 1:
-            _fail(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    return None if _NEGATIVE.match(arg) or " " in arg else ("", None)
-
-
 def parse_args(argv: list[str]) -> dict:
-    """Parse the command line in one pass, as argparse did for the same
-    commands: `--flag value` or `--flag=value`, any unique prefix of a flag,
-    the last of a repeated flag, `--` before positionals, and -h/--help
-    anywhere.  Returns the command and every option of that command (None
-    where not given); a usage error prints `error:` to stderr and raises
-    SystemExit(2), and help raises SystemExit(0)."""
-    args: dict = {}
-    command, flags, names, extras, positionals = None, (), _HELP, [], False
-    argv, i = list(argv), 0
-    while i < len(argv):
-        arg = argv[i]
-        i += 1
-        if arg == "--" and command is not None and not positionals:
-            positionals = True
-            if "certificate" not in flags:  # as in argparse, no positional takes it
-                extras.append(arg)
-            continue
-        option = None if positionals or arg == "--" else _option(arg, names, command)
-        if option is None:
-            if command is None:
-                if arg not in COMMANDS:
-                    _fail(None, f"argument command: invalid choice: {arg!r} "
-                                f"(choose from {', '.join(map(repr, COMMANDS))})")
-                command, flags = arg, COMMANDS[arg][2]
-                names = _HELP + tuple(f for f in flags if f.startswith("-"))
-                args = {"command": arg, **dict.fromkeys(map(_key, flags))}
-                # argparse reads every flag before it acts on any, so an
-                # ambiguous prefix fails even behind -h
-                later = argv[i:]
-                for word in later[:later.index("--")] if "--" in later else later:
-                    _option(word, names, command)
-            elif "certificate" in flags and args["certificate"] is None:
-                args["certificate"] = arg
-            else:
-                extras.append(arg)
-            continue
-        flag, value = option
-        if not flag:
-            extras.append(arg)
-            continue
-        if flag in _HELP:
-            if value is not None:
-                _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
-            print(_usage(command))
-            for name, (_, summary, _) in COMMANDS.items():
-                if command in (None, name):
-                    print(f"  {name:9} {summary}")
-            raise SystemExit(0)
-        if value is None:
-            if i == len(argv) or argv[i] == "--" or _option(argv[i], names, command):
-                _fail(command, f"argument {flag}: expected one argument")
-            value = argv[i]
-            i += 1
-        if flag in _INTS:
+    """Parse the command line: the command and every option of that command,
+    None where not given.  The plain form, a command and then full flag names
+    each followed by a value that does not start with a dash (for `verify`,
+    one such path), is read here; every other argv goes to argparse, which
+    prints help, reports usage errors and reads prefixes, `=`, `--` and
+    values that start with a dash."""
+    command, rest = (argv[0], argv[1:]) if argv else (None, [])
+    if command in COMMANDS:
+        flags = COMMANDS[command][2]
+        args = {"command": command, **dict.fromkeys(map(_key, flags))}
+        if command == "verify":
+            if len(rest) == 1 and rest[0][:1] != "-":
+                args["certificate"] = rest[0]
+                return args
+        elif len(rest) % 2 == 0:
             try:
-                value = int(value)
-            except ValueError:
-                _fail(command, f"argument {flag}: invalid int value: {value!r}")
-        args[_key(flag)] = value
-    if command is None:
-        _fail(None, "the following arguments are required: command")
-    missing = [f for f in _REQUIRED if f in flags and args[_key(f)] is None]
-    if missing:
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
-    if extras:  # argparse reports them as the top-level parser
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    return args
+                for flag, value in zip(rest[::2], rest[1::2]):
+                    if flag not in flags or value[:1] == "-":
+                        break
+                    args[_key(flag)] = int(value) if flag in _INTS else value
+                else:
+                    if command != "classify" or args["element"] is not None:
+                        return args
+            except ValueError:  # argparse reports the value that is not an int
+                pass
+    return _parse_with_argparse(argv)
+
+
+def _parse_with_argparse(argv: list[str]) -> dict:
+    import argparse  # only help and the argv outside the plain form need it
+
+    parser = argparse.ArgumentParser(
+        prog="arboreal", description="certificates for prescribed-local-action tree groups")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary, description=summary)
+        for flag in flags:
+            kwargs = {"type": int} if flag in _INTS else {}
+            if flag == "--element":
+                kwargs["required"] = True
+            command.add_argument(flag, **kwargs)
+    return vars(parser.parse_args(argv))
 
 
 def main(argv=None) -> int:

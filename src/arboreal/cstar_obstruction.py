@@ -25,6 +25,7 @@ from .perm_groups import (
     PermGroup,
     check_freeness,
     check_orbit_preservation,
+    check_wreath_degree,
     cyclic_table,
     orbits,
     point_stabilizer,
@@ -337,6 +338,13 @@ def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, str]:
                 n, m = (int(s[1:]) for s in name[len("wreath-") :].split("-"))
             except Exception as exc:
                 raise ValueError(f"bad wreath preset {name!r}") from exc
+            # the cap from n and m, before a table of n^2 or m^2 entries exists.
+            # Past it both are at most 64 unless one is 0 or 1, and
+            # wreath_embedding rejects such a pair with the same message when
+            # the other factor is Z/2, so no larger table is built for it
+            check_wreath_degree(n, m)
+            if min(n, m) < 2:
+                n, m = min(n, 2), min(m, 2)
             F, Fp, _, _ = wreath_embedding(cyclic_table(n), cyclic_table(m))
             return F, Fp, f"G(Z/{n}^(Z/{m}), Z/{n} wr Z/{m})"
         raise ValueError(f"unknown preset {name!r}")

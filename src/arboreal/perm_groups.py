@@ -449,6 +449,16 @@ def cyclic_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
+def check_wreath_degree(ng: int, na: int) -> None:
+    """Check the degree ng^na of Gamma wr A on ng^na points from the two
+    orders alone.  With more than 64 coordinates and two elements of Gamma the
+    degree is above the cap and may have too many digits to print, so it is
+    named as a power."""
+    if na > MAX_DEGREE and ng > 1:
+        raise ValueError(f"color-set degree must be at most {MAX_DEGREE}, got {ng}^{na}")
+    _check_degree(ng ** na)
+
+
 def wreath_embedding(gamma_table, a_table):
     """Realize F = Gamma^(A) inside F' = Gamma wr A acting on the cosets of A.
 
@@ -468,13 +478,8 @@ def wreath_embedding(gamma_table, a_table):
     if not isinstance(gamma_table, list) or not isinstance(a_table, list):
         raise ValueError("group table must be a list of lists of JSON integers")
     # before the cubic table checks; at most 64 points bound |A| by 6, so
-    # the order |Gamma|^|A| |A| of F' by 384.  With more than 64 coordinates
-    # and two rows of Gamma the degree is above the cap and may have too many
-    # digits to print, so it is named as a power
-    if len(a_table) > MAX_DEGREE and len(gamma_table) > 1:
-        raise ValueError(f"color-set degree must be at most {MAX_DEGREE}, "
-                         f"got {len(gamma_table)}^{len(a_table)}")
-    _check_degree(len(gamma_table) ** len(a_table))
+    # the order |Gamma|^|A| |A| of F' by 384
+    check_wreath_degree(len(gamma_table), len(a_table))
     gt, ge, _ = check_group_table(gamma_table)
     if len(gt) < 2:  # before a's cubic check: one row caps nothing, as 1^|A| = 1
         raise ValueError("trivial Gamma: faithfulness of the wreath action fails")

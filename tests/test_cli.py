@@ -1,15 +1,21 @@
 """Command-line front-end: exit codes, determinism, and report content."""
 
 import argparse
+import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arboreal.cli import main, parse_args
 from arboreal.cstar_obstruction import normalize_config
@@ -781,23 +787,44 @@ def test_cli_import_leaves_heavy_stdlib_modules_unloaded():
     assert proc.stdout == "[]\n"
 
 
-def test_cli_certify_and_verify_leave_argparse_and_gettext_unloaded(tmp_path):
-    probe = ("import sys\n"
-             "def loaded():\n"
-             "    return sorted(m for m in ('argparse', 'gettext') if m in sys.modules)\n"
+def _readme_command_lines() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```sh\n(.*?)```", readme.split("## Command line", 1)[1], re.S)
+    return [shlex.split(line)[1:] for line in block.group(1).splitlines()]
+
+
+def test_plain_form_runs_of_every_command_leave_argparse_and_gettext_unloaded(tmp_path):
+    # the README's command lines, in order: verify reads what certify writes
+    lines = _readme_command_lines()
+    assert {argv[0] for argv in lines} == {"certify", "classify", "orbit", "witness", "verify"}
+    probe = ("import json, sys\n"
              "import arboreal.cli\n"
-             "found = [loaded()]\n"
-             "cert = sys.argv[1]\n"
-             "assert arboreal.cli.main(['certify', '--preset', 'g-alt3-sym3', '--word-length', '2',"
-             " '--out', cert]) == 0\n"
-             "assert arboreal.cli.main(['verify', cert]) == 0\n"
-             "found.append(loaded())\n"
-             "print(found, file=sys.stderr)\n")
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    assert arboreal.cli.main(argv) == 0, argv\n"
+             "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules), file=sys.stderr)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(tmp_path / "c.txt")],
-                          env={**os.environ, "PYTHONPATH": src},
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, json.dumps(lines)],
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
                           capture_output=True, text=True, check=True)
-    assert proc.stderr == "[[], []]\n"
+    assert proc.stderr == "[]\n"
+
+
+@pytest.mark.parametrize("preset", ["wreath-z100000-z2", "wreath-z2-z100000", "wreath-z1-z100000"])
+def test_oversized_wreath_preset_exits_2_before_any_table(tmp_path, preset):
+    # each table of such a preset would hold 10^10 entries; under the address
+    # space limit building one fails (exit 3) instead of exhausting the host
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+             "from arboreal.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, "certify", "--preset", preset,
+                           "--out", str(tmp_path / "c.txt")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert not (tmp_path / "c.txt").exists()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -906,6 +933,51 @@ def test_parser_help_exits_0(argv, capsys):
             parse(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: arboreal")
+
+
+def _outcome(parse, argv):
+    """What parse makes of argv: the dict it returns, or its exit code and
+    whether it printed usage (help) or `error:` (a usage error)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 0:
+        return code, out.getvalue().startswith("usage: arboreal")
+    return code, "error:" in err.getvalue()
+
+
+FLAGS = ["--preset", "--config", "--word-length", "--depth", "--seed", "--out", "--element"]
+# unique prefixes of some flags, and "--", which is a prefix of all of them
+PREFIXES = ["--p", "--con", "--w", "--word", "--d", "--s", "--o", "--el", "--"]
+VALUES = st.sampled_from(["2", "16", "-1", "-5", "0", " 3", "2.5", "-.5", "x", "", "a b",
+                          "-a b", "-x", "--x", "c.txt", "identity", "g3 g0^-1", "verify"])
+TOKENS = st.one_of(
+    st.sampled_from(FLAGS), st.sampled_from(PREFIXES), VALUES,
+    st.sampled_from(["-h", "--help", "--he", "-h1", "-", "--bogus"]),
+    st.builds("{}={}".format, st.sampled_from(FLAGS + PREFIXES), VALUES),
+)
+COMMAND_WORDS = st.sampled_from(["certify", "classify", "orbit", "witness", "verify"])
+ARGVS = st.one_of(
+    # near the plain form: a command, then flags of any command with values
+    st.builds(lambda command, pairs: [command, *(word for pair in pairs for word in pair)],
+              COMMAND_WORDS, st.lists(st.tuples(st.sampled_from(FLAGS), VALUES), max_size=3)),
+    st.builds(lambda path: ["verify", path], VALUES),
+    st.builds(lambda command, rest: [command, *rest],
+              st.one_of(COMMAND_WORDS, st.sampled_from(["frob", "-h", "--preset"])),
+              st.lists(TOKENS, max_size=6)),
+    st.lists(TOKENS, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ARGVS)
+def test_parser_agrees_with_argparse_on_random_argv(argv):
+    got = _outcome(parse_args, argv)
+    assert got == _outcome(lambda a: vars(_build_parser().parse_args(a)), argv)
+    assert isinstance(got, dict) or got[1]
 
 
 def test_negative_depth_reaches_the_config_check(tmp_path, capsys):

@@ -3,11 +3,12 @@ colors: canonical forms, a default plus exceptions at a finite degree,
 serialization, the group laws, vertex evaluation against a letter-by-letter
 reference walk, and exact end images against image ray prefixes.
 
-Finite elements are random members of G(Alt(3), Sym(3)), U(Sym(3)) and the
-degree-8 G(F, F') of the wreath pair (Z/2)^3 <= Z/2 wr Z/3, and for end
-images of G(C5, Alt(5)); integer elements are short products of
-half-tree fixator witnesses and translation constants, whose portraits carry
-defaults and exceptions.
+Finite elements are random members of G(Alt(3), Sym(3)) and U(Sym(3)), and
+for end images of G(C5, Alt(5)); degree-8 elements of the G(F, F') of the
+wreath pair (Z/2)^3 <= Z/2 wr Z/3 are products of one to three random
+members and half-tree fixator witnesses, and integer elements are short
+products of witnesses and translation constants, so that their portraits
+carry defaults and exceptions.
 """
 
 from collections import Counter
@@ -31,7 +32,8 @@ ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
 Z_F, Z_FP = PermGroup.z_translations(), PermGroup.z_finitary_affine()
 # degree 8, where most frontier colors of a vertex share one rule
-WREATH_CLASS = GroupClass.prescribed(*wreath_embedding(cyclic_table(2), cyclic_table(3))[:2])
+WREATH_F, WREATH_FP = wreath_embedding(cyclic_table(2), cyclic_table(3))[:2]
+WREATH_CLASS = GroupClass.prescribed(WREATH_F, WREATH_FP)
 WINDOW = range(-2, 3)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -41,18 +43,34 @@ def _random_elements(classes, radii):
     return st.builds(random_element, st.sampled_from(classes), radii, st.integers(0, 10**6))
 
 
-degree3_elements = _random_elements([GroupClass.prescribed(ALT3, SYM3), GroupClass.universal(SYM3)],
-                                    st.integers(0, 2))
-# a core radius of 0 gives only constants, which have no exceptions
-degree8_elements = _random_elements([WREATH_CLASS], st.integers(1, 2))
-finite_elements = st.one_of(degree3_elements, degree8_elements)
-
-
 def _reduced_words(max_len: int, colors=WINDOW):
     return st.lists(st.sampled_from(list(colors)), max_size=max_len).filter(
         lambda w: all(a != b for a, b in zip(w, w[1:]))
     ).map(tuple)
 
+
+def _product(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+degree3_elements = _random_elements([GroupClass.prescribed(ALT3, SYM3), GroupClass.universal(SYM3)],
+                                    st.integers(0, 2))
+# one random draw is mostly a constant (F acts freely, so a vertex whose
+# permutation lies in F has one matching rule); products of draws and
+# fixator witnesses carry exceptions.  A core radius of 0 gives only constants
+degree8_factors = st.one_of(
+    _random_elements([WREATH_CLASS], st.integers(1, 2)),
+    st.builds(
+        lambda tail, color: fixator_witness(WREATH_F, WREATH_FP, half_tree(tail, color)),
+        _reduced_words(1, range(8)),
+        st.integers(0, 7),
+    ),
+)
+degree8_elements = st.lists(degree8_factors, min_size=1, max_size=3).map(_product)
+finite_elements = st.one_of(degree3_elements, degree8_elements)
 
 integer_factors = st.one_of(
     st.builds(
@@ -66,13 +84,6 @@ integer_factors = st.one_of(
         _reduced_words(2),
     ),
 )
-
-
-def _product(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
 
 
 integer_elements = st.lists(integer_factors, min_size=1, max_size=2).map(_product)
