@@ -43,7 +43,7 @@ from .cstar_obstruction import (
 from .dynamics import Elliptic, Inversion, classify_isometry
 from .perm_groups import point_stabilizer
 from .portraits import GroupClass, TreeAut, aut_from_data, aut_to_data, decode_json, require_key
-from .tree_core import V0, DirectedEdge, PeriodicEnd, ray_prefix
+from .tree_core import V0, DirectedEdge, periodic_end, ray_prefix
 
 
 def _load_config(args) -> dict:
@@ -137,17 +137,18 @@ def cmd_orbit(args) -> int:
     require_admissible_pair(F, Fp)
     # the certificate's orbit: the witness pair, then the generators of F
     gens = [*disjoint_support_pair(F, Fp, DirectedEdge(V0, 0)), *standard_generators(F)]
-    xi = PeriodicEnd((), (0, 1))
+    xi = periodic_end((), (0, 1))
     orbit = orbit_truncate(gens, xi, config["word_length"], config["depth"])
+    pre, per = ("".join(map(str, w)) for w in xi)
     print(f"group: {label}")
-    print(f"end: {xi!r}, word length {orbit.word_length}, depth {orbit.depth}")
+    print(f"end: End({pre}({per})^oo), word length {orbit.word_length}, depth {orbit.depth}")
     if orbit.depth_warning:
         print(f"warning: depth below heuristic bound {orbit.heuristic_bound}")
     print(f"points: {len(orbit.points)}")
     lines = []
     for word, end in orbit.points:
         wname = ".".join(map(str, word)) or "e"
-        lines.append(f"  {wname}: {''.join(map(str, ray_prefix(*end, orbit.depth)))}")
+        lines.append(f"  {wname}: {''.join(map(str, ray_prefix(end, orbit.depth)))}")
     output = "\n".join(lines) + "\n"
     _write_or_print(output, args["out"])
     return 0

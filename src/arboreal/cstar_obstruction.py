@@ -43,10 +43,11 @@ from .portraits import (
 from .tree_core import (
     V0,
     DirectedEdge,
-    PeriodicEnd,
+    End,
     Record,
     enumerate_ball,
     neighbor,
+    periodic_end,
     ray_prefix,
 )
 
@@ -141,22 +142,19 @@ class OrbitTruncation(Record):
 
     Each point is (word, end): the minimal word, in (length, lex) order,
     whose image of the base end has that depth prefix, and that image as the
-    canonical (prefix, period) pair of `PeriodicEnd`.  margin (the largest
-    generator displacement), heuristic_bound and depth_warning are
-    certificate values; no check reads them.
+    canonical (prefix, period) pair that `periodic_end` returns.
+    heuristic_bound and depth_warning are certificate values; no check reads
+    them.
     """
 
-    __slots__ = ("word_length", "depth", "margin", "points", "heuristic_bound", "depth_warning")
+    __slots__ = ("word_length", "depth", "points", "heuristic_bound", "depth_warning")
 
-    def __init__(self, word_length: int, depth: int, margin: int,
-                 points: list[tuple[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]],
+    def __init__(self, word_length: int, depth: int, points: list[tuple[tuple[int, ...], End]],
                  heuristic_bound: int, depth_warning: bool):
-        super().__init__(word_length, depth, margin, points, heuristic_bound, depth_warning)
+        super().__init__(word_length, depth, points, heuristic_bound, depth_warning)
 
 
-def orbit_truncate(
-    gens: list[TreeAut], xi: PeriodicEnd, word_length: int, depth: int
-) -> OrbitTruncation:
+def orbit_truncate(gens: list[TreeAut], xi: End, word_length: int, depth: int) -> OrbitTruncation:
     """Enumerate the orbit of the end under short products of the generators.
 
     Breadth-first over exact ends, never over group elements: the word
@@ -167,19 +165,20 @@ def orbit_truncate(
     of every end within the word length.  The points are the first of those
     words for each ray prefix of the stated depth, so the point count is a
     lower bound for the true orbit; a depth below the recorded heuristic
-    bound only raises a warning flag.
+    bound, which grows with the largest generator displacement, only raises
+    a warning flag.
     """
     letters = distinct_letters(gens)
     margin = max(len(g.base) for g in gens)
-    bound = 2 * word_length * margin + len(xi.prefix) + len(xi.period)
-    layer = [((), (xi.prefix, xi.period))]
+    bound = 2 * word_length * margin + len(xi[0]) + len(xi[1])
+    layer = [((), xi)]
     kept = list(layer)
     seen = {layer[0][1]}
     for _ in range(word_length):
         nxt = []
         for i, a in letters:
             for word, end in layer:
-                img = a.end_image(*end)
+                img = a.end_image(end)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(((i,) + word, img))
@@ -187,11 +186,10 @@ def orbit_truncate(
         kept += layer
     points = {}
     for word, end in kept:
-        points.setdefault(ray_prefix(*end, depth), (word, end))
+        points.setdefault(ray_prefix(end, depth), (word, end))
     return OrbitTruncation(
         word_length=word_length,
         depth=depth,
-        margin=margin,
         points=list(points.values()),
         heuristic_bound=bound,
         depth_warning=depth < bound,
@@ -229,14 +227,14 @@ def convolution_annihilation_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncatio
     ends by their ray prefixes at the orbit's depth."""
     failures, overlaps = [], []
     for word, eta in orbit.points:
-        b_eta = b.end_image(*eta)
+        b_eta = b.end_image(eta)
         if b_eta == eta:
             continue
-        a_eta, ab_eta = a.end_image(*eta), a.end_image(*b_eta)
+        a_eta, ab_eta = a.end_image(eta), a.end_image(b_eta)
         if a_eta != eta:
             overlaps.append(word)
         if sorted([eta, ab_eta]) != sorted([a_eta, b_eta]):
-            rays = [ray_prefix(*end, orbit.depth) for end in (eta, a_eta, b_eta, ab_eta)]
+            rays = [ray_prefix(end, orbit.depth) for end in (eta, a_eta, b_eta, ab_eta)]
             failures.append((word, "{} -> {}, {}, {}".format(*rays)))
     return AnnihilationReport(
         total=len(orbit.points),
@@ -338,6 +336,8 @@ def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, str]:
                 n, m = (int(s[1:]) for s in name[len("wreath-") :].split("-"))
             except Exception as exc:
                 raise ValueError(f"bad wreath preset {name!r}") from exc
+            if name != f"wreath-z{n}-z{m}":  # int() also reads signs, spaces and other digits
+                raise ValueError(f"bad wreath preset {name!r}")
             # the cap from n and m, before a table of n^2 or m^2 entries exists.
             # Past it both are at most 64 unless one is 0 or 1, and
             # wreath_embedding rejects such a pair with the same message when
@@ -494,10 +494,10 @@ def build_certificate(config: dict) -> Certificate:
         cert.status = "INVALID:half_tree_fixation"
         return cert
 
-    xi = PeriodicEnd((), (0, 1))
+    xi = periodic_end((), (0, 1))
     orbit = orbit_truncate([a, b] + gens, xi, cfg["word_length"], cfg["depth"])
     cert.orbit = {
-        "end": {"prefix": list(xi.prefix), "period": list(xi.period)},
+        "end": {"prefix": list(xi[0]), "period": list(xi[1])},
         "word_length": orbit.word_length,
         "depth": orbit.depth,
         "points": len(orbit.points),

@@ -35,36 +35,31 @@ class NotASubgroupError(ValueError):
 class Perm:
     """A bijection of the color set.
 
-    With a table it is finite: `table[c]` is the image of c on {0..d-1}.
-    Without, it is the integer permutation x -> shift + patch.get(x, x); the
-    patch is a finitary bijection stored without fixed points, which makes
-    the pair (shift, patch) a unique normal form, so equality is structural.
-    `kind` and `degree` are derived: "f" and the table's length with a
-    table, "z" and None without.
+    With a table it is finite: `table[c]` is the image of c on {0..d-1}, and
+    `degree` is the table's length.  Without, it is the integer permutation
+    x -> shift + patch.get(x, x) of degree None; the patch is a dict holding
+    a finitary bijection without fixed points, which makes the pair
+    (shift, patch) a unique normal form, so equality is structural.  A
+    finite permutation has shift 0 and the empty patch ().
     """
 
-    __slots__ = ("kind", "degree", "table", "shift", "patch", "_pmap")
+    __slots__ = ("degree", "table", "shift", "patch")
 
     def __init__(self, table=None, shift=0, patch=()):
         if table is not None:
-            self.kind = "f"
             self.table = tuple(table)
             self.degree = d = len(self.table)
             if sorted(self.table) != list(range(d)):
                 raise ValueError(f"not a bijection of range({d}): {table!r}")
             self.shift = 0
             self.patch = ()
-            self._pmap = None
         else:
-            self.kind = "z"
             self.degree = None
             self.table = None
             self.shift = int(shift)
-            items = {int(x): int(y) for x, y in dict(patch).items() if int(x) != int(y)}
-            if sorted(items.values()) != sorted(items):
+            self.patch = {int(x): int(y) for x, y in dict(patch).items() if int(x) != int(y)}
+            if sorted(self.patch.values()) != sorted(self.patch):
                 raise ValueError(f"patch is not a finitary bijection: {patch!r}")
-            self.patch = tuple(sorted(items.items()))
-            self._pmap = dict(items)
 
     # -- constructors ------------------------------------------------------
 
@@ -94,20 +89,19 @@ class Perm:
     # -- group operations --------------------------------------------------
 
     def __call__(self, c: int) -> int:
-        if self.kind == "f":
+        if self.table is not None:
             return self.table[c]
-        return self.shift + self._pmap.get(c, c)
+        return self.shift + self.patch.get(c, c)
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Composition: (p * q)(c) = p(q(c))."""
-        if self.kind != other.kind or self.degree != other.degree:
+        if self.degree != other.degree:
             raise ValueError("permutation domains mismatch")
-        if self.kind == "f":
+        if self.table is not None:
             return Perm([self.table[x] for x in other.table])
         # (s1,f1)(s2,f2): x -> s1 + f1(s2 + f2(x)); renormalize the finitary
         # part by conjugating through s2 so the result is again (shift, patch).
-        f1 = dict(self.patch)
-        f2 = dict(other.patch)
+        f1, f2 = self.patch, other.patch
         s2 = other.shift
         keys = set(f2) | {y - s2 for y in f1}
         patch = {}
@@ -117,32 +111,32 @@ class Perm:
         return Perm(shift=self.shift + s2, patch=patch)
 
     def inv(self) -> "Perm":
-        if self.kind == "f":
+        if self.table is not None:
             table = [0] * len(self.table)
             for i, j in enumerate(self.table):
                 table[j] = i
             return Perm(table)
         s = self.shift
-        patch = {y + s: x + s for x, y in self.patch}
+        patch = {y + s: x + s for x, y in self.patch.items()}
         return Perm(shift=-s, patch=patch)
 
     def is_identity(self) -> bool:
-        if self.kind == "f":
+        if self.table is not None:
             return all(self.table[i] == i for i in range(len(self.table)))
         return self.shift == 0 and not self.patch
 
     def moved_colors(self) -> set[int] | None:
         """The finite set of moved colors, or None when cofinitely many move."""
-        if self.kind == "f":
+        if self.table is not None:
             return {c for c in range(len(self.table)) if self.table[c] != c}
         if self.shift != 0:
             return None
-        return {x for x, _ in self.patch}
+        return set(self.patch)
 
     def key(self):
-        if self.kind == "f":
+        if self.table is not None:
             return ("f", self.table)
-        return ("z", self.shift, self.patch)
+        return ("z", self.shift, tuple(sorted(self.patch.items())))
 
     def __eq__(self, other) -> bool:
         # the fields that `key` holds, compared without building it
@@ -153,10 +147,12 @@ class Perm:
         return hash(self.key())
 
     def __repr__(self) -> str:
-        if self.kind == "z":
+        if self.table is None:
             if self.is_identity():
                 return "Perm(z:id)"
-            return f"Perm(z:+{self.shift},{dict(self.patch)})" if self.patch else f"Perm(z:+{self.shift})"
+            if self.patch:
+                return f"Perm(z:+{self.shift},{dict(sorted(self.patch.items()))})"
+            return f"Perm(z:+{self.shift})"
         moved = self.moved_colors()
         if not moved:
             return "Perm(id)"
@@ -178,11 +174,11 @@ class Perm:
 
 def perm_disagreement(p: Perm, q: Perm) -> set[int] | None:
     """Colors where p and q differ; None when they differ cofinitely often."""
-    if p.kind == "f":
+    if p.table is not None:
         return {c for c in range(len(p.table)) if p.table[c] != q.table[c]}
     if p.shift != q.shift:
         return None
-    keys = {x for x, _ in p.patch} | {x for x, _ in q.patch}
+    keys = set(p.patch) | set(q.patch)
     return {x for x in keys if p(x) != q(x)}
 
 
@@ -309,8 +305,8 @@ class PermGroup:
 
     def contains(self, p: Perm) -> bool:
         if self.kind == "finite":
-            return p.kind == "f" and p.degree == self.degree and p in self.elements
-        if p.kind != "z":
+            return p.degree == self.degree and p in self.elements
+        if p.table is not None:
             return False
         if self.kind == "z_translations":
             return not p.patch
@@ -451,10 +447,11 @@ def cyclic_table(n: int) -> list[list[int]]:
 
 def check_wreath_degree(ng: int, na: int) -> None:
     """Check the degree ng^na of Gamma wr A on ng^na points from the two
-    orders alone.  With more than 64 coordinates and two elements of Gamma the
-    degree is above the cap and may have too many digits to print, so it is
-    named as a power."""
-    if na > MAX_DEGREE and ng > 1:
+    orders alone.  With more than 64 coordinates and two elements of Gamma,
+    or more than 64 elements of Gamma and two coordinates, the degree is
+    above the cap and may have too many digits to print, so it is named as a
+    power."""
+    if (na > MAX_DEGREE and ng > 1) or (ng > MAX_DEGREE and na > 1):
         raise ValueError(f"color-set degree must be at most {MAX_DEGREE}, got {ng}^{na}")
     _check_degree(ng ** na)
 

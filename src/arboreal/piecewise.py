@@ -65,9 +65,6 @@ class FreeProductTree:
     def invert(self, w: Word) -> Word:
         return tuple((s, self.inv[s][i]) for s, i in reversed(w))
 
-    def compose(self, g: Word, h: Word) -> Word:
-        return self.multiply(g, h)
-
     def identity_element(self) -> Word:
         return ()
 
@@ -143,7 +140,7 @@ class RegularTreeModel:
     def act(self, g: TreeAut, v):
         return g.evaluate(v)
 
-    def compose(self, g: TreeAut, h: TreeAut) -> TreeAut:
+    def multiply(self, g: TreeAut, h: TreeAut) -> TreeAut:
         return g * h
 
     def invert(self, g: TreeAut) -> TreeAut:
@@ -294,7 +291,7 @@ class PiecewiseAut:
             pieces[(self.vmap[u], t.act(g, n))] = t.invert(g)
         return PiecewiseAut(t, sub, vmap, pieces)
 
-    def compose(self, other: "PiecewiseAut") -> "PiecewiseAut":
+    def __mul__(self, other: "PiecewiseAut") -> "PiecewiseAut":
         """self after other, with the subtree refined so every component
         carries a single composed element."""
         p, q = self, other
@@ -310,11 +307,8 @@ class PiecewiseAut:
                     continue
                 gq = q.piece_at(n)
                 gp = p.piece_at(q.apply(n))
-                pieces[(u, n)] = t.compose(gp, gq)
+                pieces[(u, n)] = t.multiply(gp, gq)
         return PiecewiseAut(t, sub, vmap, pieces)
-
-    def __mul__(self, other: "PiecewiseAut") -> "PiecewiseAut":
-        return self.compose(other)
 
     def expanded(self, target) -> "PiecewiseAut":
         """The same automorphism over a larger subtree; each new frontier

@@ -33,6 +33,7 @@ from itertools import chain, count
 from .perm_groups import Perm, PermGroup, perm_disagreement
 from .tree_core import (
     V0,
+    End,
     FrozenRecord,
     Vertex,
     check_vertex,
@@ -40,6 +41,7 @@ from .tree_core import (
     enumerate_ball,
     neighbor,
     prefix_closure,
+    ray_prefix,
     trim_end,
 )
 
@@ -240,9 +242,9 @@ class TreeAut:
             w = w[:j] + img[k:]
         return w
 
-    def end_image(self, prefix: Vertex, period: Vertex) -> tuple[Vertex, Vertex]:
+    def end_image(self, end: End) -> End:
         """The image of the end prefix + period^oo; both ends are canonical
-        (prefix, period) pairs of `PeriodicEnd`.  The ray is cut after whole
+        (prefix, period) pairs, as `periodic_end` returns them.  The ray is cut after whole
         periods at `_cut` letters or more and evaluated one period further.
         That period lies past the core, so the constant f of the end's branch
         maps it (the core agrees with f on the edge into the branch), and
@@ -250,6 +252,7 @@ class TreeAut:
         g(v0), stops nearing v0 and cancels nothing.  So the image end is
         g(cut ray) + f(period)^oo; f is a bijection, so f(period) is
         primitive, and only the trim to the shortest prefix is left."""
+        prefix, period = end
         n = len(period)
         image = self.evaluate(prefix + period * -((self._cut - len(prefix)) // -n) + period)
         return trim_end(image[:-n], image[-n:])
@@ -587,18 +590,18 @@ def image_prefix(g: TreeAut, ray: Vertex, depth: int) -> Vertex:
     return img[:depth]
 
 
-def end_image_prefix(g: TreeAut, end, depth: int) -> Vertex:
+def end_image_prefix(g: TreeAut, end: End, depth: int) -> Vertex:
     """The first `depth` letters of the ray of g applied to the end."""
-    return image_prefix(g, end.ray_prefix(depth + len(g.base)), depth)
+    return image_prefix(g, ray_prefix(end, depth + len(g.base)), depth)
 
 
 # -- serialization -------------------------------------------------------------
 
 
 def perm_to_data(p: Perm):
-    if p.kind == "f":
+    if p.table is not None:
         return list(p.table)
-    return {"shift": p.shift, "patch": [[x, y] for x, y in p.patch]}
+    return {"shift": p.shift, "patch": [[x, y] for x, y in sorted(p.patch.items())]}
 
 
 def require_key(spec, key: str, what: str):

@@ -19,6 +19,8 @@ from itertools import repeat
 from operator import ne
 
 Vertex = tuple[int, ...]
+# an end as the canonical (prefix, period) pair that `periodic_end` returns
+End = tuple[Vertex, Vertex]
 
 V0: Vertex = ()
 
@@ -173,21 +175,16 @@ def is_prefix(p: Vertex, w: Vertex) -> bool:
     return len(p) <= len(w) and w[: len(p)] == p
 
 
-def half_tree_contains(h: DirectedEdge, x) -> bool:
-    """Membership of a vertex or end in a half-tree, decided from a prefix.
+def half_tree_contains(h: DirectedEdge, v: Vertex) -> bool:
+    """Membership of a vertex in a half-tree, decided from a prefix.
 
     When the head extends the tail the half-tree is the set of words having
     the head as a prefix; otherwise it is the complement of the words having
     the tail as a prefix.
     """
-    if isinstance(x, tuple):
-        word: Vertex = x
-    else:
-        depth = len(h.head) if h.is_cylinder else len(h.tail)
-        word = x.ray_prefix(depth)
     if h.is_cylinder:
-        return is_prefix(h.head, word)
-    return not is_prefix(h.tail, word)
+        return is_prefix(h.head, v)
+    return not is_prefix(h.tail, v)
 
 
 def _primitive(period: Vertex) -> Vertex:
@@ -198,7 +195,7 @@ def _primitive(period: Vertex) -> Vertex:
     return period
 
 
-def trim_end(prefix: Vertex, period: Vertex) -> tuple[Vertex, Vertex]:
+def trim_end(prefix: Vertex, period: Vertex) -> End:
     """The end prefix + period^oo with its shortest prefix: the trailing
     letters of the prefix that continue the period backwards move into it,
     which turns the period with them."""
@@ -209,45 +206,20 @@ def trim_end(prefix: Vertex, period: Vertex) -> tuple[Vertex, Vertex]:
     return prefix[: len(prefix) - k], period[r:] + period[:r]
 
 
-def ray_prefix(prefix: Vertex, period: Vertex, depth: int) -> Vertex:
-    """The first `depth` letters of the ray prefix + period^oo."""
+def ray_prefix(end: End, depth: int) -> Vertex:
+    """The first `depth` letters of the ray prefix + period^oo of the end."""
+    prefix, period = end
     return (prefix + period * (max(0, depth - len(prefix)) // len(period) + 1))[:depth]
 
 
-class PeriodicEnd:
-    """A boundary end whose ray from the base vertex is eventually periodic.
-
-    Stored in the canonical form with the shortest prefix and primitive
-    period, so equality of ends is structural equality.  The orbit code
-    handles an end as the plain (prefix, period) pair of that form.
-    """
-
-    __slots__ = ("prefix", "period")
-
-    def __init__(self, prefix: Iterable[int], period: Iterable[int]):
-        p = check_vertex(prefix)
-        q = tuple(period)
-        if not q:
-            raise ValueError("period must be nonempty")
-        if not is_reduced(p + q + q):
-            raise ValueError(f"ray {p!r} + ({q!r})^oo is not reduced")
-        p, q = trim_end(p, _primitive(q))
-        object.__setattr__(self, "prefix", p)
-        object.__setattr__(self, "period", q)
-
-    def ray_prefix(self, depth: int) -> Vertex:
-        """The first `depth` letters of the ray from the base vertex."""
-        return ray_prefix(self.prefix, self.period, depth)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodicEnd):
-            return NotImplemented
-        return self.prefix == other.prefix and self.period == other.period
-
-    def __hash__(self) -> int:
-        return hash((self.prefix, self.period))
-
-    def __repr__(self) -> str:
-        pre = "".join(map(str, self.prefix))
-        per = "".join(map(str, self.period))
-        return f"End({pre}({per})^oo)"
+def periodic_end(prefix: Iterable[int], period: Iterable[int]) -> End:
+    """The boundary end whose ray from the base vertex is prefix + period^oo,
+    as its canonical (prefix, period) pair: the shortest prefix and a
+    primitive period, so equality of ends is equality of pairs."""
+    p = check_vertex(prefix)
+    q = tuple(period)
+    if not q:
+        raise ValueError("period must be nonempty")
+    if not is_reduced(p + q + q):
+        raise ValueError(f"ray {p!r} + ({q!r})^oo is not reduced")
+    return trim_end(p, _primitive(q))

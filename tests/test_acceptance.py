@@ -42,10 +42,10 @@ from arboreal.portraits import (
 from arboreal.tree_core import (
     V0,
     DirectedEdge,
-    PeriodicEnd,
     distance,
     enumerate_ball,
     half_tree,
+    periodic_end,
 )
 
 ALT3 = PermGroup.alternating(3)
@@ -141,7 +141,7 @@ def test_criterion_5_convolution_identity():
         edge = DirectedEdge(V0, 0)
         a, b = disjoint_support_pair(ALT3, SYM3, edge)
         gens = [a, b] + standard_generators(ALT3)
-        xi = PeriodicEnd((), (0, 1))
+        xi = periodic_end((), (0, 1))
         orbit = orbit_truncate(gens, xi, 3, 16)
         assert not orbit.depth_warning
         assert disjoint_support_check(a, b, orbit)

@@ -662,6 +662,10 @@ def test_ill_typed_free_product_table_is_a_config_error(tmp_path, capsys, tables
     assert err == f"error: {message}\n"
 
 
+# an order whose square has more digits than int-to-str conversion allows
+NINES = "9" * 3000
+
+
 def _no_tables(*args, **kwargs):
     raise AssertionError("permutations listed for an oversized group")
 
@@ -673,6 +677,8 @@ def _no_tables(*args, **kwargs):
                  id="wreath-z2-z7"),
     pytest.param({"preset": "wreath-z2-z20"},
                  "color-set degree must be at most 64, got 1048576", id="wreath-z2-z20"),
+    pytest.param({"preset": f"wreath-z{NINES}-z2"},
+                 f"color-set degree must be at most 64, got {NINES}^2", id="wreath-3000-digits"),
     pytest.param({"wreath": {"gamma": cyclic_table(3), "a": cyclic_table(4)}},
                  "color-set degree must be at most 64, got 81", id="wreath-tables"),
     pytest.param({"wreath": {"gamma": cyclic_table(2), "a": [[0]] * 15000}},
@@ -807,6 +813,17 @@ def test_plain_form_runs_of_every_command_leave_argparse_and_gettext_unloaded(tm
                           env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
                           capture_output=True, text=True, check=True)
     assert proc.stderr == "[]\n"
+
+
+@pytest.mark.parametrize("preset", ["wreath-z+2-z2", "wreath-z 2-z2", "wreath-z02-z2",
+                                    "wreath-z2-z2 ", "wreath-z\u0662-z2"],
+                         ids=["plus", "space", "leading-zero", "trailing-space", "arabic-indic-digit"])
+def test_wreath_preset_spelled_other_than_its_orders_exits_2(tmp_path, capsys, preset):
+    out = tmp_path / "c.txt"
+    code, stdout, err = run_cli(["certify", "--preset", preset, "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: bad wreath preset {preset!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("preset", ["wreath-z100000-z2", "wreath-z2-z100000", "wreath-z1-z100000"])

@@ -34,7 +34,7 @@ from arboreal.portraits import (
     end_image_prefix,
     random_element,
 )
-from arboreal.tree_core import V0, DirectedEdge, PeriodicEnd, half_tree, ray_prefix
+from arboreal.tree_core import V0, DirectedEdge, half_tree, periodic_end, ray_prefix
 
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
@@ -99,12 +99,11 @@ def test_disjoint_support_pair_commutes_and_separates():
 
 
 def assert_end_of(end, el, xi):
-    """end is the canonical pair of el(xi): `PeriodicEnd` keeps it as it is,
-    and its ray agrees with the reference image ray for 64 letters, far past
-    the prefix of either end here, so both are the same periodic ray."""
-    canon = PeriodicEnd(*end)
-    assert (canon.prefix, canon.period) == end
-    assert end_image_prefix(el, xi, 64) == canon.ray_prefix(64)
+    """end is the canonical pair of el(xi): `periodic_end` keeps it as it
+    is, and its ray agrees with the reference image ray for 64 letters, far
+    past the prefix of either end here, so both are the same periodic ray."""
+    assert periodic_end(*end) == end
+    assert end_image_prefix(el, xi, 64) == ray_prefix(end, 64)
 
 
 def independent_orbit_enumeration(gens, xi, length, depth):
@@ -133,7 +132,7 @@ def test_orbit_truncation_matches_independent_enumerator():
         TreeAut.from_constant(Perm.from_cycles(3, (0, 1, 2)), V0),
         TreeAut.from_constant(Perm.identity(3), (0, 1)),
     ]
-    xi = PeriodicEnd((), (0, 1))
+    xi = periodic_end((), (0, 1))
     assert not orbit_truncate(gens, xi, 3, 16).depth_warning
     cases = [(gens, 3)]
     # wreath-z2-z2 repeats letters: the inverse of each F-constant is itself
@@ -147,7 +146,7 @@ def test_orbit_truncation_matches_independent_enumerator():
         for depth in (1, 3, 16):
             orbit = orbit_truncate(gens, xi, length, depth)
             expected = independent_orbit_enumeration(gens, xi, length, depth)
-            assert [(w, ray_prefix(*end, depth)) for w, end in orbit.points] == expected
+            assert [(w, ray_prefix(end, depth)) for w, end in orbit.points] == expected
             # each label's product maps the end to its point, exactly
             for word, end in orbit.points:
                 assert_end_of(end, word_element(gens, word), xi)
@@ -172,17 +171,17 @@ def test_orbit_truncation_matches_independent_enumerator_on_random_generators(da
     seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=4))
     gens = [random_element(cls, 2, seed) for seed in seeds]
     length = data.draw(st.integers(2, 3))
-    xi = PeriodicEnd((), (0, 1))
+    xi = periodic_end((), (0, 1))
     for depth in (1, 3, 16):
         orbit = orbit_truncate(gens, xi, length, depth)
         expected = independent_orbit_enumeration(gens, xi, length, depth)
-        assert [(w, ray_prefix(*end, depth)) for w, end in orbit.points] == expected
+        assert [(w, ray_prefix(end, depth)) for w, end in orbit.points] == expected
         for word, end in orbit.points:
             assert_end_of(end, word_element(gens, word), xi)
 
 
 def test_orbit_truncation_trivial_cases():
-    xi = PeriodicEnd((), (0, 1))
+    xi = periodic_end((), (0, 1))
     gens = [TreeAut.identity(3)]
     orbit = orbit_truncate(gens, xi, 4, 12)
     assert len(orbit.points) == 1
@@ -192,7 +191,7 @@ def test_orbit_truncation_trivial_cases():
 
 def test_orbit_truncation_depth_warning():
     gens = [TreeAut.from_constant(Perm.identity(3), (0, 1))]
-    orbit = orbit_truncate(gens, PeriodicEnd((), (0, 1)), 3, 4)
+    orbit = orbit_truncate(gens, periodic_end((), (0, 1)), 3, 4)
     assert orbit.depth_warning
 
 
@@ -200,7 +199,7 @@ def test_disjoint_support_and_annihilation_full_pipeline():
     e = DirectedEdge(V0, 0)
     a, b = disjoint_support_pair(ALT3, SYM3, e)
     gens = [a, b] + standard_generators(ALT3)
-    xi = PeriodicEnd((), (0, 1))
+    xi = periodic_end((), (0, 1))
     orbit = orbit_truncate(gens, xi, 3, 16)
     assert len(orbit.points) > 10
     assert disjoint_support_check(a, b, orbit)
@@ -212,7 +211,7 @@ def test_disjoint_support_check_detects_overlap():
     e = DirectedEdge(V0, 0)
     a, _ = disjoint_support_pair(ALT3, SYM3, e)
     gens = [a] + standard_generators(ALT3)
-    orbit = orbit_truncate(gens, PeriodicEnd((), (0, 1)), 2, 14)
+    orbit = orbit_truncate(gens, periodic_end((), (0, 1)), 2, 14)
     # the same element on both sides moves some orbit point twice
     assert not disjoint_support_check(a, a, orbit)
     # an identity side is disjoint from anything
@@ -227,10 +226,9 @@ def reference_annihilation(a, b, orbit):
     ab = a * b
     failures, overlaps = [], []
     for word, end in orbit.points:
-        point = PeriodicEnd(*end)
-        eta = point.ray_prefix(64)
-        a_eta, b_eta = end_image_prefix(a, point, 64), end_image_prefix(b, point, 64)
-        ab_eta = end_image_prefix(ab, point, 64)
+        eta = ray_prefix(end, 64)
+        a_eta, b_eta = end_image_prefix(a, end, 64), end_image_prefix(b, end, 64)
+        ab_eta = end_image_prefix(ab, end, 64)
         if a_eta != eta and b_eta != eta:
             overlaps.append(word)
         if sorted([eta, ab_eta]) != sorted([a_eta, b_eta]):
@@ -242,7 +240,7 @@ def test_annihilation_report_overlaps_are_the_points_both_sides_move():
     e = DirectedEdge(V0, 0)
     a, b = disjoint_support_pair(ALT3, SYM3, e)
     gens = [a] + standard_generators(ALT3)
-    orbit = orbit_truncate(gens, PeriodicEnd((), (0, 1)), 2, 14)
+    orbit = orbit_truncate(gens, periodic_end((), (0, 1)), 2, 14)
     glide = gens[-1]
     pairs = [(a, a), (TreeAut.identity(3), a), (a, b), (b, a), (a, glide), (glide, b)]
     for x, y in pairs:
@@ -266,7 +264,7 @@ def test_annihilation_reads_the_letters_past_the_depth_that_a_needs():
     a = TreeAut.from_constant(Perm.identity(3), (0, 1))
     b = fixator_witness(ALT3, SYM3, DirectedEdge((1, 0, 2), 2))
     # the ray (1, 0, 2, 1, 0, 1, 0, ...)
-    orbit = OrbitTruncation(1, 3, 2, [((), ((1, 0, 2), (1, 0)))], 0, False)
+    orbit = OrbitTruncation(1, 3, [((), ((1, 0, 2), (1, 0)))], 0, False)
     report = convolution_annihilation_check(a, b, orbit)
     assert [w for w, _ in report.failures] == reference_annihilation(a, b, orbit)[0] == [()]
     assert report.failures[0][1] == "(1, 0, 2) -> (2, 1, 0), (1, 0, 2), (2, 0, 2)"
@@ -291,12 +289,12 @@ def test_orbit_and_point_checks_take_elements_that_move_the_base_vertex_far():
     # the orbit nor the point checks depend on how far an element moves v0
     a, b = disjoint_support_pair(ALT3, SYM3, DirectedEdge(V0, 0))
     far = TreeAut.from_constant(Perm.identity(3), (0, 1, 0))
-    xi = PeriodicEnd((), (0, 1))
+    xi = periodic_end((), (0, 1))
     gens = [far, a, b] + standard_generators(ALT3)
     for depth in (1, 3, 12):
         orbit = orbit_truncate(gens, xi, 2, depth)
         expected = independent_orbit_enumeration(gens, xi, 2, depth)
-        assert [(w, ray_prefix(*end, depth)) for w, end in orbit.points] == expected
+        assert [(w, ray_prefix(end, depth)) for w, end in orbit.points] == expected
     for x, y in [(far, b), (a, far), (a, b)]:
         report = convolution_annihilation_check(x, y, orbit)
         failures, overlaps = reference_annihilation(x, y, orbit)

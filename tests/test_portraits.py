@@ -19,7 +19,7 @@ from arboreal.portraits import (
     enumerate_branch_constant,
     random_element,
 )
-from arboreal.tree_core import V0, PeriodicEnd, enumerate_ball
+from arboreal.tree_core import V0, enumerate_ball, periodic_end, ray_prefix
 
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
@@ -239,10 +239,10 @@ def test_integer_color_compose_and_invert():
 
 def test_end_image_prefix_matches_direct_limit():
     g = TreeAut.from_constant(Perm.identity(3), (0, 1))
-    xi = PeriodicEnd((), (0, 1))
+    xi = periodic_end((), (0, 1))
     img = end_image_prefix(g, xi, 10)
     # the translation shifts its own axis end onto itself
-    assert img == xi.ray_prefix(10)
+    assert img == ray_prefix(xi, 10)
     rot = TreeAut.from_constant(Perm.from_cycles(3, (0, 1, 2)), V0)
     moved = end_image_prefix(rot, xi, 10)
     assert moved[0] == 1

@@ -1,7 +1,8 @@
 """Property tests of the branch-rule view shared by finite and integer
 colors: canonical forms, a default plus exceptions at a finite degree,
 serialization, the group laws, vertex evaluation against a letter-by-letter
-reference walk, and exact end images against image ray prefixes.
+reference walk, exact end images against image ray prefixes, and one
+canonical (prefix, period) pair for every spelling of a periodic ray.
 
 Finite elements are random members of G(Alt(3), Sym(3)) and U(Sym(3)), and
 for end images of G(C5, Alt(5)); degree-8 elements of the G(F, F') of the
@@ -26,7 +27,15 @@ from arboreal.portraits import (
     end_image_prefix,
     random_element,
 )
-from arboreal.tree_core import V0, PeriodicEnd, enumerate_ball, half_tree, neighbor, prefix_closure
+from arboreal.tree_core import (
+    V0,
+    enumerate_ball,
+    half_tree,
+    neighbor,
+    periodic_end,
+    prefix_closure,
+    ray_prefix,
+)
 
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
@@ -313,11 +322,44 @@ def test_end_image_is_the_canonical_end_of_the_image_rays(data):
         ray.append(data.draw(st.sampled_from([c for c in colors if not ray or c != ray[-1]])))
     # every split of the ray into a nonempty prefix and a period of two or
     # three letters that repeats reduced
-    ends = [PeriodicEnd(ray[:s], ray[s:s + n]) for s in range(1, len(ray) - 1) for n in (2, 3)
+    ends = [periodic_end(ray[:s], ray[s:s + n]) for s in range(1, len(ray) - 1) for n in (2, 3)
             if s + n <= len(ray) and ray[s + n - 1] != ray[s]]
     for eta in ends:
-        pair = g.end_image(eta.prefix, eta.period)
-        end = PeriodicEnd(*pair)
-        assert (end.prefix, end.period) == pair
-        assert end.ray_prefix(64) == end_image_prefix(g, eta, 64)
-        assert g.inverse().end_image(*pair) == (eta.prefix, eta.period)
+        pair = g.end_image(eta)
+        assert periodic_end(*pair) == pair
+        assert ray_prefix(pair, 64) == end_image_prefix(g, eta, 64)
+        assert g.inverse().end_image(pair) == eta
+
+
+def _draw_ray(data, colors):
+    """A prefix of up to four letters and a period of two to four letters
+    whose ray prefix + period^oo is reduced; the prefix need not be the
+    shortest, nor the period primitive."""
+    n, m = data.draw(st.integers(0, 4)), data.draw(st.integers(2, 4))
+    word = []
+    for i in range(n + m):
+        # the period's last letter also differs from its first, which follows it
+        banned = {word[-1], word[n]} if i == n + m - 1 else set(word[-1:])
+        word.append(data.draw(st.sampled_from([c for c in colors if c not in banned])))
+    return tuple(word[:n]), tuple(word[n:])
+
+
+@PROPERTY
+@given(st.data())
+def test_periodic_end_is_one_pair_for_every_spelling_of_a_ray(data):
+    colors = data.draw(st.sampled_from([range(3), range(5), WINDOW]))
+    prefix, period = _draw_ray(data, colors)
+    pair = periodic_end(prefix, period)
+    assert periodic_end(*pair) == pair
+    assert ray_prefix(pair, 64) == ray_prefix((prefix, period), 64)
+    # the prefix extended by whole periods and by a rotation, and powers of
+    # the rotated period
+    for j in range(3):
+        for k in range(len(period)):
+            turned = period[k:] + period[:k]
+            for m in range(1, 4):
+                assert periodic_end(prefix + period * j + period[:k], turned * m) == pair
+    # both pairs are at most four letters of prefix and of period, so their
+    # rays agree for 64 letters only if they are one periodic ray
+    other = periodic_end(*_draw_ray(data, colors))
+    assert (other == pair) == (ray_prefix(other, 64) == ray_prefix(pair, 64))

@@ -33,8 +33,8 @@ RECORDS = [
     (Inversion, ("edge",), (E1,), {}, True),
     (Hyperbolic, ("length", "axis_point"), (2, (0,)), {}, True),
     (GroupClass, ("F", "Fp", "star"), (ALT3, SYM3, True), {"star": False}, True),
-    (OrbitTruncation, ("word_length", "depth", "margin", "points", "heuristic_bound",
-                       "depth_warning"), (2, 8, 1, [((), (0, 1))], 6, False), {}, False),
+    (OrbitTruncation, ("word_length", "depth", "points", "heuristic_bound", "depth_warning"),
+     (2, 8, [((), (0, 1))], 6, False), {}, False),
     (AnnihilationReport, ("total", "passed", "failures", "overlaps"),
      (3, 2, [((1,), "x")], [(1,)]), {}, False),
     (FiltrationReport, ("level", "ok", "details"), (1, True, {"hits": {}}), {}, False),

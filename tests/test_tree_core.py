@@ -5,7 +5,6 @@ import pytest
 from arboreal.tree_core import (
     V0,
     DirectedEdge,
-    PeriodicEnd,
     distance,
     enumerate_ball,
     geodesic,
@@ -13,6 +12,8 @@ from arboreal.tree_core import (
     half_tree_contains,
     is_reduced,
     neighbor,
+    periodic_end,
+    ray_prefix,
 )
 
 
@@ -97,7 +98,7 @@ def test_half_tree_membership_on_vertices():
 
 def test_half_tree_membership_on_periodic_end():
     h = half_tree(V0, 0)
-    xi = PeriodicEnd((), (0, 1))
+    xi = ray_prefix(periodic_end((), (0, 1)), 2)
     assert half_tree_contains(h, xi)
     assert not half_tree_contains(h.reversed(), xi)
 
@@ -112,19 +113,19 @@ def test_half_trees_partition_every_ball_vertex():
 
 
 def test_periodic_end_canonical_forms():
-    assert PeriodicEnd((), (0, 1)) == PeriodicEnd((0,), (1, 0)) == PeriodicEnd((0, 1), (0, 1))
-    assert PeriodicEnd((), (0, 1, 0, 1)) == PeriodicEnd((), (0, 1))
-    assert PeriodicEnd((), (0, 1)) != PeriodicEnd((), (1, 0))
+    assert periodic_end((), (0, 1)) == periodic_end((0,), (1, 0)) == periodic_end((0, 1), (0, 1))
+    assert periodic_end((), (0, 1, 0, 1)) == periodic_end((), (0, 1))
+    assert periodic_end((), (0, 1)) != periodic_end((), (1, 0))
 
 
 def test_periodic_end_rejects_unreduced_rays():
     with pytest.raises(ValueError):
-        PeriodicEnd((), (0, 0))
+        periodic_end((), (0, 0))
     with pytest.raises(ValueError):
-        PeriodicEnd((), (0, 1, 0))  # ...010|010... repeats 0
+        periodic_end((), (0, 1, 0))  # ...010|010... repeats 0
     with pytest.raises(ValueError):
-        PeriodicEnd((0,), (0, 1))
+        periodic_end((0,), (0, 1))
 
 
 def test_periodic_end_equality_is_structural():
-    assert PeriodicEnd((), (0, 1)) == PeriodicEnd((0, 1, 0), (1, 0))
+    assert periodic_end((), (0, 1)) == periodic_end((0, 1, 0), (1, 0))
