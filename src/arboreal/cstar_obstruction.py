@@ -127,9 +127,10 @@ def fixator_witness(F: PermGroup, Fp: PermGroup, h: DirectedEdge, sigma: Perm | 
 def disjoint_support_pair(F: PermGroup, Fp: PermGroup, e: DirectedEdge) -> tuple[TreeAut, TreeAut]:
     """Nontrivial fixators of the two half-trees at e: the first fixes the
     tail side (so its support lies in the head side), the second the reverse.
-    Disjointly supported automorphisms commute."""
-    a = fixator_witness(F, Fp, e.reversed())
-    b = fixator_witness(F, Fp, e)
+    Both take one sigma fixing e's color; disjointly supported ones commute."""
+    sigma = point_stabilizer(Fp, e.color).sample_nontrivial()
+    a = fixator_witness(F, Fp, e.reversed(), sigma)
+    b = fixator_witness(F, Fp, e, sigma)
     return a, b
 
 
@@ -384,7 +385,8 @@ def _group_from_spec(spec) -> PermGroup:
 def standard_generators(F: PermGroup) -> list[TreeAut]:
     """A deterministic generating set for U(F), F free: by Bass-Serre theory,
     the vertex stabilizer F (constants at the base vertex) and one edge
-    inversion at the base vertex per F-orbit, plus the glide to (0, 1)."""
+    inversion at the base vertex per F-orbit, plus the glide to (0, 1).
+    Each is a constant portrait, and so is every product of them."""
     gens: list[TreeAut] = []
     if F.kind == "finite":
         gens += [TreeAut.from_constant(p, V0) for p in F.elements if not p.is_identity()]
@@ -559,11 +561,11 @@ def parse_certificate(text: str) -> Certificate:
 def verify_certificate(text: str) -> tuple[bool, str]:
     """Re-run the pipeline from the embedded config and compare bit-for-bit;
     on a mismatch, name the first JSON key path where the two differ."""
-    cert = parse_certificate(text)
-    rebuilt = build_certificate(cert.config)
+    rebuilt = build_certificate(parse_certificate(text).config)
     if serialize_certificate(rebuilt) == text:
         return True, "certificate re-verified bit-identically"
-    path = _first_difference(cert.to_dict(), rebuilt.to_dict())
+    # the decoded body, not the parsed Certificate, which drops unknown keys
+    path = _first_difference(json.loads(text.partition("\n")[2]), rebuilt.to_dict())
     where = "in formatting only" if path is None else "at " + ".".join(map(str, path))
     return False, f"re-run disagrees with the stored certificate {where}"
 

@@ -22,6 +22,11 @@ frontier rule explicitly and no defaults.
 
 Every element is built in its canonical (minimal-core) form, so equal
 automorphisms have equal stored maps.
+
+When F acts freely, U(F) is the constant portraits, one permutation at every
+vertex: adjacent local actions agree on the color of the edge between them,
+and two elements of a free F that agree at one color are equal.  Constants
+multiply and invert in closed form; other elements take the general paths.
 """
 
 from __future__ import annotations
@@ -196,6 +201,10 @@ class TreeAut:
     def is_frontier_color(self, u: Vertex, c: int) -> bool:
         return (not u or c != u[-1]) and u + (c,) not in self.core
 
+    def _constant(self) -> Perm | None:
+        """f if the portrait is the constant f (core {V0}, no exceptions), else None."""
+        return self.core[V0] if len(self.core) == 1 and not self.branches else None
+
     def frontier_rule(self, u: Vertex, c: int) -> Perm:
         if not self.is_frontier_color(u, c):
             raise PortraitError(f"({u}, {c}) is not a frontier edge")
@@ -315,6 +324,7 @@ class TreeAut:
         from its parent, so each frontier edge takes one step from its tail.
         A product with the identity is the other factor itself: elements are
         canonical and immutable, and it keeps its cached key and inverse.
+        Constants f and f' multiply to the constant f * f' moving v0 to g(h(v0)).
         """
         g, h = self, other
         if g.deg != h.deg:
@@ -323,6 +333,8 @@ class TreeAut:
             return g
         if g.is_identity():
             return h
+        if (f := g._constant()) is not None and (f_h := h._constant()) is not None:
+            return TreeAut.from_constant(f * f_h, g.evaluate(h.base))
         support = prefix_closure(set(h.core) | {h.preimage(u) for u in g.core})
         img, act = {V0: h.base}, {V0: h.core[V0]}  # u -> h(u), sigma(h, u)
 
@@ -367,19 +379,22 @@ class TreeAut:
 
     def inverse(self) -> "TreeAut":
         """The inverse automorphism: sigma(g^-1, g(v)) = sigma(g, v)^-1.
-        Computed once; the inverse keeps this element as its own inverse.
-        The rules repeat a few permutations many times, so each distinct one
-        is inverted once."""
+        Computed once; the inverse keeps this element as its own inverse.  A
+        constant f inverts to the constant f^-1 moving v0 to g^-1(v0); other
+        rules repeat a few permutations many times, each inverted once."""
         if self._inv is None:
             base = self.preimage(V0)
-            core, branches, defaults = self.extended([base])
-            images = {u: self.evaluate(u) for u in core}
-            rules = chain(core.values(), branches.values(), defaults.values())
-            inv = {p: p.inv() for p in dict.fromkeys(rules)}
-            inv_core = {images[u]: inv[sigma] for u, sigma in core.items()}
-            inv_branches = {(images[u], core[u](c)): inv[f] for (u, c), f in branches.items()}
-            inv_defaults = {images[u]: inv[f] for u, f in defaults.items()}
-            self._inv = TreeAut(base, inv_core, inv_branches, inv_defaults)
+            if (f := self._constant()) is not None:
+                self._inv = TreeAut.from_constant(f.inv(), base)
+            else:
+                core, branches, defaults = self.extended([base])
+                images = {u: self.evaluate(u) for u in core}
+                rules = chain(core.values(), branches.values(), defaults.values())
+                inv = {p: p.inv() for p in dict.fromkeys(rules)}
+                inv_core = {images[u]: inv[sigma] for u, sigma in core.items()}
+                inv_branches = {(images[u], core[u](c)): inv[f] for (u, c), f in branches.items()}
+                inv_defaults = {images[u]: inv[f] for u, f in defaults.items()}
+                self._inv = TreeAut(base, inv_core, inv_branches, inv_defaults)
             self._inv._inv = self
         return self._inv
 

@@ -122,6 +122,17 @@ def test_verify_names_the_first_tampered_key_path(tmp_path, capsys):
     assert stdout.strip().endswith("at checks.annihilation.total")
 
 
+def test_verify_names_an_unknown_body_key(tmp_path, capsys):
+    # parsing keeps only the certificate's fields, so the key is found in the
+    # decoded body, not blamed on the formatting
+    out = tmp_path / "cert.txt"
+    run_cli(["certify", "--preset", "g-alt3-sym3", "--word-length", "2", "--out", str(out)], capsys)
+    header, _, body = out.read_text().partition("\n")
+    out.write_text(header + "\n" + json.dumps({**json.loads(body), "extra": 1}, indent=1) + "\n")
+    code, stdout, _ = run_cli(["verify", str(out)], capsys)
+    assert (code, stdout) == (1, "re-run disagrees with the stored certificate at extra\n")
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [

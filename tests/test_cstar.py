@@ -1,6 +1,7 @@
 """Witness construction, orbit truncation, the convolution identity, the
 fixator filtration, and certificate round-trips."""
 
+import functools
 import hashlib
 import itertools
 
@@ -444,18 +445,43 @@ def _admissible_pairs(d):
     return sorted(pairs)
 
 
+def _listed_status(F, Fp):
+    """The status of the wl=2 certificate of the pair, each group listed by
+    its generator tables."""
+    groups = {name: {"kind": "listed", "perms": [list(p) for p in gens]}
+              for name, gens in (("F", F), ("Fp", Fp))}
+    return build_certificate({"groups": groups, "word_length": 2}).status
+
+
 @pytest.mark.parametrize("degree, count", [(3, 1), (4, 14), (5, 24)])
 def test_every_admissible_pair_of_small_degree_certifies_valid(degree, count):
     pairs = _admissible_pairs(degree)
     assert len(pairs) == count
     invalid = []
     for F, Fp in pairs:
-        groups = {name: {"kind": "listed", "perms": [list(p) for p in gens]}
-                  for name, gens in (("F", F), ("Fp", Fp))}
-        cert = build_certificate({"groups": groups, "word_length": 2})
-        if cert.status != "VALID":
-            invalid.append((F, Fp, cert.status))
+        status = _listed_status(F, Fp)
+        if status != "VALID":
+            invalid.append((F, Fp, status))
     assert invalid == []
+
+
+@functools.cache
+def _small_pairs():
+    return [pair for d in (3, 4, 5) for pair in _admissible_pairs(d)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_relabelling_the_colors_keeps_the_status(data):
+    """Conjugating F and F' by a color permutation pi gives an isomorphic
+    pair on an isomorphic colored tree, so the verdict must not move."""
+    F, Fp = data.draw(st.sampled_from(_small_pairs()))
+    pi = data.draw(st.permutations(range(len(F[0]))))
+
+    def relabel(gens):  # the tables of pi g pi^-1
+        return [tuple(pi[g[pi.index(c)]] for c in range(len(pi))) for g in gens]
+
+    assert _listed_status(relabel(F), relabel(Fp)) == _listed_status(F, Fp)
 
 
 def test_integer_witness_has_swap_core_and_translation_branches():

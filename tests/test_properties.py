@@ -9,15 +9,18 @@ for end images of G(C5, Alt(5)); degree-8 elements of the G(F, F') of the
 wreath pair (Z/2)^3 <= Z/2 wr Z/3 are products of one to three random
 members and half-tree fixator witnesses, and integer elements are short
 products of witnesses and translation constants, so that their portraits
-carry defaults and exceptions.
+carry defaults and exceptions.  Products of standard generators of U(F), for
+F = Alt(3), the degree-8 wreath F, the integer translations and Sym(3) acting
+on itself, are constant portraits, which multiply and invert in closed form.
 """
 
 from collections import Counter
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arboreal.cstar_obstruction import fixator_witness, resolve_groups, standard_generators
+from arboreal.cstar_obstruction import fixator_witness, standard_generators
 from arboreal.perm_groups import Perm, PermGroup, cyclic_table, wreath_embedding
 from arboreal.portraits import (
     GroupClass,
@@ -97,8 +100,29 @@ integer_factors = st.one_of(
 
 integer_elements = st.lists(integer_factors, min_size=1, max_size=2).map(_product)
 elements = st.one_of(finite_elements, integer_elements)
+
+
+def _generator_products(F):
+    """Products of one to four standard generators of U(F) and their
+    inverses: constant portraits, which multiply and invert in closed form."""
+    gens = standard_generators(F)
+    letters = gens + [g.inverse() for g in gens]
+    return st.lists(st.sampled_from(letters), min_size=1, max_size=4).map(_product)
+
+
+def _left_regular(elements):
+    """The group of permutation tables acting on itself by left multiplication."""
+    index = {p: i for i, p in enumerate(elements)}
+    return PermGroup.generated(
+        [Perm([index[tuple(g[x] for x in p)] for p in elements]) for g in elements])
+
+
+# Sym(3) acting freely on six colors: F is abelian in the other families,
+# where a product of constants shows no order of its factors
+REGULAR_SYM3 = _left_regular(sorted(permutations(range(3))))
+constant_kinds = [_generator_products(F) for F in (ALT3, WREATH_F, Z_F, REGULAR_SYM3)]
 # the strategies whose elements act on one tree, so that they compose
-same_tree_kinds = [degree3_elements, degree8_elements, integer_elements]
+same_tree_kinds = [degree3_elements, degree8_elements, integer_elements, *constant_kinds]
 
 
 def _ball(g, radius=2):
@@ -208,6 +232,7 @@ def test_group_laws(data):
     assert e * g is (e if g.is_identity() else g)
     gh = g * h
     for v in _ball(g):
+        assert g.inverse().evaluate(g.evaluate(v)) == v
         assert gh.evaluate(v) == g.evaluate(h.evaluate(v))
         assert gh.local_action(v) == g.local_action(h.evaluate(v)) * h.local_action(v)
 
@@ -253,18 +278,7 @@ def test_product_matches_the_per_edge_reference(data):
     assert g.inverse().inverse() == g
 
 
-def _generator_products(preset: str):
-    """Products of one to four standard generators of the preset and their
-    inverses."""
-    F, _, _ = resolve_groups({"preset": preset})
-    gens = standard_generators(F)
-    letters = gens + [g.inverse() for g in gens]
-    return st.lists(st.sampled_from(letters), min_size=1, max_size=4).map(_product)
-
-
-evaluated_elements = st.one_of(
-    _generator_products("g-alt3-sym3"), _generator_products("z-translations"), elements
-)
+evaluated_elements = st.one_of(*constant_kinds, elements)
 
 
 def reference_evaluate(g, v):
