@@ -314,12 +314,19 @@ def group_source(config: dict) -> str:
     return sources[0]
 
 
-def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, str]:
-    """Resolve the (F, F') pair named by a config: a preset name, an explicit
-    finite pair, or wreath parameters.  Exactly one source must be given."""
+def pair_source(config: dict) -> str:
+    """The group source of a config that must name an (F, F') pair: any of
+    `group_source` but the free-product tables."""
     source = group_source(config)
     if source == "free_product":
         raise ValueError("free_product tables name a free-product tree, not an (F, F') pair")
+    return source
+
+
+def resolve_groups(config: dict) -> tuple[PermGroup, PermGroup, str]:
+    """Resolve the (F, F') pair named by a config: a preset name, an explicit
+    finite pair, or wreath parameters.  Exactly one source must be given."""
+    source = pair_source(config)
     if source == "preset":
         name = json_typed(config["preset"], str, "preset")
         if name == "g-alt3-sym3":
@@ -438,7 +445,7 @@ def normalize_config(config: dict) -> dict:
     input: a ValueError, raised before any group is built."""
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {json.dumps(config, default=repr)}")
-    group_source(config)  # on the raw config: the copy below drops free_product
+    pair_source(config)  # on the raw config: the copy below drops free_product
     out = {key: config.get(key) for key in ("preset", "groups", "wreath")}
     for key, default in _BOUND_DEFAULTS.items():
         out[key] = json_typed(config.get(key, default), int, key)

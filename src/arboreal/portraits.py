@@ -26,14 +26,17 @@ automorphisms have equal stored maps.
 When F acts freely, U(F) is the constant portraits, one permutation at every
 vertex: adjacent local actions agree on the color of the edge between them,
 and two elements of a free F that agree at one color are equal.  Constants
-multiply and invert in closed form; other elements take the general paths.
+multiply and invert in closed form.  Other elements are first padded
+(`extended`) to a core whose image under the element holds v0; the element
+maps the padded frontier edges one to one onto those of the image core, so
+products and inverses combine the padded maps rule by rule.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain, count
+from itertools import chain
 
 from .perm_groups import Perm, PermGroup, perm_disagreement
 from .tree_core import (
@@ -186,12 +189,6 @@ class TreeAut:
 
     # -- structure helpers ---------------------------------------------------
 
-    def _core_edge_colors(self, u: Vertex) -> set[int]:
-        cols = {w[-1] for w in self.core if w and w[:-1] == u}
-        if u:
-            cols.add(u[-1])
-        return cols
-
     def frontier_colors(self, u: Vertex) -> list[int]:
         """Frontier colors at a core vertex (finite degree only)."""
         if self.deg is None:
@@ -298,7 +295,9 @@ class TreeAut:
         prefix closure of its core plus verts: a new core vertex carries the
         constant of the branch it was in as its default.  As in a stored
         element, a finite default is kept only where it covers a frontier
-        color.  An element built from them absorbs the padding again."""
+        color.  An element built from them absorbs the padding again.  This
+        is the one padded form: products, inverses and
+        `dynamics.fixes_half_tree_pointwise` read it."""
         target = prefix_closure(set(self.core) | {tuple(v) for v in verts})
         core = {v: self.local_action(v) for v in target}
         defaults = {u: core[u] for u in target if u not in self.core}
@@ -318,13 +317,16 @@ class TreeAut:
     # -- group operations -----------------------------------------------------
 
     def __mul__(self, other: "TreeAut") -> "TreeAut":
-        """Composition (g * h)(v) = g(h(v)), returned in canonical form, by
-        the cocycle rule sigma(g h, n) = sigma(g, h(n)) * sigma(h, n).  h's
-        image of and local action at each support vertex are passed down
-        from its parent, so each frontier edge takes one step from its tail.
-        A product with the identity is the other factor itself: elements are
-        canonical and immutable, and it keeps its cached key and inverse.
-        Constants f and f' multiply to the constant f * f' moving v0 to g(h(v0)).
+        """Composition (g * h)(v) = g(h(v)), in canonical form, by the cocycle
+        rule sigma(g h, n) = sigma(g, h(n)) * sigma(h, n).  h is padded to a
+        core S holding h^-1 of g's core and g to h(S), which is connected and
+        holds v0, so it is g's padded core; h maps each frontier edge (u, c)
+        of S and its branch onto the edge (h(u), sigma(h, u)(c)) of h(S) and
+        its branch.  So the padded maps compose vertex by vertex: the
+        defaults' product, except at each color either factor lists (h's at
+        u, g's at h(u) pulled back through sigma(h, u)).  A product with the
+        identity is the other factor itself, which keeps its cached key and
+        inverse; constants f, f' give the constant f * f' moving v0 to g(h(v0)).
         """
         g, h = self, other
         if g.deg != h.deg:
@@ -335,53 +337,25 @@ class TreeAut:
             return h
         if (f := g._constant()) is not None and (f_h := h._constant()) is not None:
             return TreeAut.from_constant(f * f_h, g.evaluate(h.base))
-        support = prefix_closure(set(h.core) | {h.preimage(u) for u in g.core})
-        img, act = {V0: h.base}, {V0: h.core[V0]}  # u -> h(u), sigma(h, u)
-
-        def step(u: Vertex, c: int) -> tuple[Vertex, Perm]:
-            # h(n) and sigma(h, n) at n = u + (c,); sigma(h, n) is h's core
-            # permutation at n, its frontier rule at (u, c), or u's constant
-            n = u + (c,)
-            rule = h.core[n] if n in h.core else h.frontier_rule(u, c) if u in h.core else act[u]
-            return neighbor(img[u], act[u](c)), rule
-
-        for u in sorted(support, key=len)[1:]:
-            img[u], act[u] = step(u[:-1], u[-1])
-
-        def rule(u: Vertex, c: int) -> Perm:
-            x, s = step(u, c)
-            return g.local_action(x) * s
-
-        core = {u: g.local_action(img[u]) * act[u] for u in support}
-        branches = {}
-        defaults = {}
-        for u in support:
-            # the colors whose rule may differ from the generic one, and the
-            # first free color standing in for all the others, if one is left
-            hu = img[u]
-            if hu in g.core:
-                img_special = {c for (w, c) in g.branches if w == hu}
-                img_special |= g._core_edge_colors(hu)
-            else:
-                img_special = {hu[-1]}
-            inv = act[u].inv()
-            colors = {c for (w, c) in h.branches if w == u} | {inv(c) for c in img_special}
-            blocked = colors | {w[-1] for w in support if w and w[:-1] == u}
-            if u:
-                blocked.add(u[-1])
-            free = next(c for c in count() if c not in blocked)
-            if g.deg is None or free < g.deg:
-                defaults[u] = rule(u, free)
-            for c in sorted(colors):
-                if (not u or c != u[-1]) and u + (c,) not in support:
-                    branches[(u, c)] = rule(u, c)
+        core_h, branches_h, defaults_h = h.extended(h.preimage(u) for u in g.core)
+        img = {u: h.evaluate(u) for u in core_h}
+        core_g, branches_g, defaults_g = g.extended(img.values())
+        pre = {x: u for u, x in img.items()}
+        # the frontier edges of S at which either factor lists a rule
+        listed = set(branches_h) | {(pre[x], core_h[pre[x]].inv()(c)) for x, c in branches_g}
+        core = {u: core_g[x] * core_h[u] for u, x in img.items()}
+        branches = {(u, c): branches_g.get((img[u], core_h[u](c)), defaults_g.get(img[u]))
+                    * branches_h.get((u, c), defaults_h.get(u)) for u, c in listed}
+        defaults = {u: defaults_g[img[u]] * f
+                    for u, f in defaults_h.items() if img[u] in defaults_g}
         return TreeAut(g.evaluate(h.base), core, branches, defaults)
 
     def inverse(self) -> "TreeAut":
         """The inverse automorphism: sigma(g^-1, g(v)) = sigma(g, v)^-1.
         Computed once; the inverse keeps this element as its own inverse.  A
-        constant f inverts to the constant f^-1 moving v0 to g^-1(v0); other
-        rules repeat a few permutations many times, each inverted once."""
+        constant f inverts to the constant f^-1 moving v0 to g^-1(v0); else g
+        is padded to a core S holding g^-1(v0), so g(S) holds v0, and each
+        rule at (u, c) inverts to one at (g(u), sigma(g, u)(c))."""
         if self._inv is None:
             base = self.preimage(V0)
             if (f := self._constant()) is not None:
@@ -389,11 +363,9 @@ class TreeAut:
             else:
                 core, branches, defaults = self.extended([base])
                 images = {u: self.evaluate(u) for u in core}
-                rules = chain(core.values(), branches.values(), defaults.values())
-                inv = {p: p.inv() for p in dict.fromkeys(rules)}
-                inv_core = {images[u]: inv[sigma] for u, sigma in core.items()}
-                inv_branches = {(images[u], core[u](c)): inv[f] for (u, c), f in branches.items()}
-                inv_defaults = {images[u]: inv[f] for u, f in defaults.items()}
+                inv_core = {images[u]: sigma.inv() for u, sigma in core.items()}
+                inv_branches = {(images[u], core[u](c)): f.inv() for (u, c), f in branches.items()}
+                inv_defaults = {images[u]: f.inv() for u, f in defaults.items()}
                 self._inv = TreeAut(base, inv_core, inv_branches, inv_defaults)
             self._inv._inv = self
         return self._inv

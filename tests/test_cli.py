@@ -109,17 +109,30 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "bit-identically" in stdout
 
 
-def test_verify_names_the_first_tampered_key_path(tmp_path, capsys):
+def _bump_witness_a_table(text):
+    header, _, body = text.partition("\n")
+    data = json.loads(body)
+    data["witness_a"]["core"][0][1][0] += 1
+    return f"{header}\n{json.dumps(data, sort_keys=True, indent=1)}\n"
+
+
+@pytest.mark.parametrize("tamper, path", [
+    pytest.param(lambda text: text.replace('"total": ', '"total": 1', 1),
+                 "checks.annihilation.total", id="annihilation-total"),
+    # a list entry is named by its index: the first entry of the table of
+    # the first core row
+    pytest.param(_bump_witness_a_table, "witness_a.core.0.1.0", id="list-entry"),
+])
+def test_verify_names_the_first_tampered_key_path(tmp_path, capsys, tamper, path):
     out = tmp_path / "cert.txt"
     run_cli(["certify", "--preset", "g-alt3-sym3", "--word-length", "2", "--out", str(out)], capsys)
     text = out.read_text()
-    tampered = text.replace('"total": ', '"total": 1', 1)
+    tampered = tamper(text)
     assert tampered != text
     out.write_text(tampered)
     code, stdout, _ = run_cli(["verify", str(out)], capsys)
     assert code == 1
-    assert "disagrees" in stdout
-    assert stdout.strip().endswith("at checks.annihilation.total")
+    assert stdout == f"re-run disagrees with the stored certificate at {path}\n"
 
 
 def test_verify_names_an_unknown_body_key(tmp_path, capsys):
@@ -138,6 +151,7 @@ def test_verify_names_an_unknown_body_key(tmp_path, capsys):
     [
         (lambda data: {**data, "config": [1]}, "config must be a JSON object, got [1]"),
         (lambda data: [1], "certificate body must be a JSON object"),
+        (lambda data: {**data, "version": "arboreal-cert/0"}, "certificate body version mismatch"),
     ],
 )
 def test_verify_non_object_config_or_body_exits_2(tmp_path, capsys, tamper, message):
@@ -278,6 +292,20 @@ _ZSWAP_TWICE = {"shift": 0, "patch": [[1, 2], [2, 1], [1, 2]]}  # the swap of 1 
     pytest.param("z-translations", {**_ELEMENT_Z, "core": [[[], _ZSWAP_TWICE]],
                                     "defaults": [[[], _ZSWAP_TWICE]]},
                  "patch entry 1 is listed twice", id="patch-point-twice"),
+    # well-formed data that is no branch-constant automorphism
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": _ELEMENT3["core"] + [[[0, 1], _ID3]]},
+                 "core is not connected at (0, 1)", id="core-disconnected"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "core": _ELEMENT3["core"] + [[[0], _ID3]]},
+                 "branch rule at non-frontier edge ((), 0)", id="branch-at-core-edge"),
+    pytest.param("g-alt3-sym3", {**_ELEMENT3, "branches": [[[], 0, [1, 0, 2]]]
+                                 + _ELEMENT3["branches"][1:]},
+                 "edge compatibility fails at frontier ((), 0)", id="branch-incompatible"),
+    pytest.param("z-translations", {**_ELEMENT_Z, "defaults": [[[], {"shift": 1, "patch": []}]]},
+                 "default at () disagrees with the core cofinitely", id="default-shifted"),
+    pytest.param("z-translations", {**_ELEMENT_Z, "defaults": []},
+                 "core vertex () lacks a default branch constant", id="default-missing"),
+    pytest.param("g-alt3-sym3", {"degree": 2, "base": [], "core": [[[], [0, 1]]], "branches": []},
+                 "finite color sets need at least three colors", id="degree-2"),
 ])
 def test_classify_bad_element_exits_2(preset, element, named, capsys):
     text = element if isinstance(element, str) else json.dumps(element)
@@ -389,6 +417,32 @@ def test_free_product_beside_a_preset_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert stdout == ""
     assert err == "error: exactly one group source required, got ['preset', 'free_product']\n"
+    assert not out.exists()
+
+
+FREE_PRODUCT = {"a": [[0, 1], [1, 0]], "b": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+
+
+@pytest.mark.parametrize("command", ["certify", "orbit", "verify"])
+def test_free_product_alone_exits_2(tmp_path, capsys, command):
+    # the one source names no (F, F') pair, which the raw config shows
+    # before the normalized copy drops the key
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.txt"
+    cfg.write_text(json.dumps({"free_product": FREE_PRODUCT}))
+    if command == "verify":
+        cert = tmp_path / "cert.txt"
+        run_cli(["certify", "--preset", "g-alt3-sym3", "--word-length", "2", "--out", str(cert)],
+                capsys)
+        header, _, body = cert.read_text().partition("\n")
+        body = json.dumps({**json.loads(body), "config": {"free_product": FREE_PRODUCT}})
+        cert.write_text(f"{header}\n{body}\n")
+        argv = ["verify", str(cert)]
+    else:
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: free_product tables name a free-product tree, not an (F, F') pair\n"
     assert not out.exists()
 
 

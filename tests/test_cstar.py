@@ -27,7 +27,7 @@ from arboreal.cstar_obstruction import (
     verify_certificate,
 )
 from arboreal.dynamics import fixes_half_tree_pointwise
-from arboreal.perm_groups import Perm, PermGroup
+from arboreal.perm_groups import Perm, PermGroup, cyclic_table
 from arboreal.portraits import (
     GroupClass,
     TreeAut,
@@ -337,6 +337,20 @@ def test_resolve_groups_sources():
         resolve_groups({"preset": "no-such"})
     with pytest.raises(ValueError, match="not an \\(F, F'\\) pair"):
         resolve_groups({"free_product": {"a": [[0, 1], [1, 0]], "b": [[0, 1], [1, 0]]}})
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3)])
+def test_wreath_config_certifies_as_its_preset(n, m):
+    # the wreath tables of Z/n and Z/m name the preset's pair: the bodies
+    # differ only in the config and the group label
+    tables = {"gamma": cyclic_table(n), "a": cyclic_table(m)}
+    wreath = build_certificate({"wreath": tables}).to_dict()
+    preset = build_certificate({"preset": f"wreath-z{n}-z{m}"}).to_dict()
+    assert wreath["status"] == "VALID"
+    assert wreath["group"].pop("label") == "G(wreath pair)"
+    assert preset["group"].pop("label") == f"G(Z/{n}^(Z/{m}), Z/{n} wr Z/{m})"
+    del wreath["config"], preset["config"]
+    assert wreath == preset
 
 
 def test_build_certificate_valid_for_alt3_sym3():

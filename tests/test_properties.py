@@ -253,7 +253,8 @@ def reference_product(g, h):
             # fresh color past all of them for the default
             hu = h.evaluate(u)
             if hu in g.core:
-                special = {c for (w, c) in g.branches if w == hu} | g._core_edge_colors(hu)
+                special = {c for (w, c) in g.branches if w == hu} | set(hu[-1:])
+                special |= {w[-1] for w in g.core if w and w[:-1] == hu}
             else:
                 special = {hu[-1]} if hu else set()
             inv = h.local_action(u).inv()
