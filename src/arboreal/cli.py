@@ -74,7 +74,7 @@ def _parse_element(text: str, gens: list[TreeAut], deg) -> TreeAut:
     for token in text.split():
         inverse = token.endswith("^-1")
         name = token[:-3] if inverse else token
-        if not (name.startswith("g") and name[1:].isdecimal()):
+        if not (name.startswith("g") and name[1:].isascii() and name[1:].isdecimal()):
             raise ValueError(f"bad generator token {token!r}")
         idx = int(name[1:])
         if not 0 <= idx < len(gens):
@@ -97,14 +97,14 @@ def cmd_certify(args) -> int:
     out_path = args["out"] or "certificate.txt"
     with open(out_path, "w") as fh:
         fh.write(text)
-    print(f"group: {cert.group.get('label', '?')}")
-    for stage, result in sorted(cert.checks.items()):
+    print(f"group: {cert['group'].get('label', '?')}")
+    for stage, result in sorted(cert["checks"].items()):
         print(f"check {stage}: {result}")
-    for caveat in cert.caveats:
+    for caveat in cert["caveats"]:
         print(f"caveat: {caveat}")
-    print(f"status: {cert.status}")
+    print(f"status: {cert['status']}")
     print(f"certificate written to {out_path}")
-    return 0 if cert.status == "VALID" else 1
+    return 0 if cert["status"] == "VALID" else 1
 
 
 def cmd_classify(args) -> int:
@@ -183,8 +183,8 @@ def cmd_witness(args) -> int:
         return 0
     F, Fp, label = resolve_groups(config)
     require_admissible_pair(F, Fp)
-    g = fixator_witness(F, Fp, DirectedEdge(V0, 0))
     stab = point_stabilizer(Fp, 0)
+    g = fixator_witness(F, Fp, DirectedEdge(V0, 0), stab.sample_nontrivial())
     print(f"group: {label}")
     print(f"witness fixing the half-tree at edge (v0, color 0); stabilizer reason: "
           f"{stab.amenability_reason}")

@@ -52,6 +52,9 @@ from .tree_core import (
 )
 
 CERT_VERSION = "arboreal-cert/1"
+# the keys of a certificate body after "version", in the order they are built
+BODY_KEYS = ("config", "group", "edge", "witness_a", "witness_b", "orbit", "checks", "caveats",
+             "status")
 
 
 # -- witness construction ------------------------------------------------------
@@ -407,30 +410,6 @@ def standard_generators(F: PermGroup) -> list[TreeAut]:
     return gens
 
 
-_NEW_LIST = object()  # a default that stands for a new empty list
-
-
-class Certificate(Record):
-    """The desk-scale evidence bundle: group data, the witness pair and its
-    defining edge, orbit truncation parameters, per-stage check results, and
-    the depth caveats that qualify them.  `caveats` defaults to a new empty
-    list.  The fields, in order, are the keys of the serialized body besides
-    "version"."""
-
-    __slots__ = ("config", "group", "edge", "witness_a", "witness_b", "orbit", "checks",
-                 "caveats", "status")
-
-    def __init__(self, config: dict, group: dict, edge: dict, witness_a: dict | None,
-                 witness_b: dict | None, orbit: dict | None, checks: dict,
-                 caveats: list[str] = _NEW_LIST, status: str = "VALID"):
-        caveats = [] if caveats is _NEW_LIST else caveats
-        super().__init__(config, group, edge, witness_a, witness_b, orbit, checks, caveats, status)
-
-    def to_dict(self) -> dict:
-        # the field values themselves, not copies: callers only read them
-        return {"version": CERT_VERSION, **{name: getattr(self, name) for name in self.__slots__}}
-
-
 # the integer bounds of a config and their defaults
 _BOUND_DEFAULTS = {"word_length": 3, "depth": 16, "seed": 0, "search_len": 3}
 # the largest accepted bounds: the orbit grows about fivefold per letter, and
@@ -457,7 +436,7 @@ def normalize_config(config: dict) -> dict:
     return out
 
 
-def build_certificate(config: dict) -> Certificate:
+def build_certificate(config: dict) -> dict:
     """Run the whole pipeline for one configuration.
 
     Stages: independent-hyperbolic witness search, half-tree fixator pair at
@@ -465,47 +444,47 @@ def build_certificate(config: dict) -> Certificate:
     support check, the convolution annihilation identity, and the
     commutation of the pair.  The first failing stage marks the certificate
     INVALID.  Deterministic for a fixed config.
+
+    The certificate is its JSON body: "version", then `BODY_KEYS` in order.
+    A stage that does not run leaves its key null, or out of "checks".
     """
     cfg = normalize_config(config)
-    cert = Certificate(
-        config=cfg, group={}, edge={}, witness_a=None, witness_b=None, orbit=None, checks={}
-    )
     F, Fp, label = resolve_groups(cfg)
     require_admissible_pair(F, Fp)
     edge = DirectedEdge(V0, 0)
-    cert.group = {
+    cert = {"version": CERT_VERSION, **dict.fromkeys(BODY_KEYS), "config": cfg, "checks": {},
+            "caveats": []}
+    checks, caveats = cert["checks"], cert["caveats"]
+    cert["group"] = {
         "label": label,
         "omega": "Z" if F.degree is None else F.degree,
         "F": F.describe(),
         "Fp": Fp.describe(),
         "edge_stabilizer_amenability": point_stabilizer(Fp, edge.color).amenability_reason,
     }
-    cert.edge = {"tail": list(edge.tail), "color": edge.color}
+    cert["edge"] = {"tail": list(edge.tail), "color": edge.color}
 
     gens = standard_generators(F)
     witness = general_type_witness(gens, cfg["search_len"])
-    cert.checks["general_type"] = {
-        "found": witness is not None,
-        "search_len": cfg["search_len"],
-    }
+    checks["general_type"] = {"found": witness is not None, "search_len": cfg["search_len"]}
     if witness is None:
-        cert.status = "INVALID:general_type"
+        cert["status"] = "INVALID:general_type"
         return cert
 
     a, b = disjoint_support_pair(F, Fp, edge)
-    cert.witness_a = aut_to_data(a)
-    cert.witness_b = aut_to_data(b)
+    cert["witness_a"] = aut_to_data(a)
+    cert["witness_b"] = aut_to_data(b)
 
     fix_a = fixes_half_tree_pointwise(a, edge.reversed())
     fix_b = fixes_half_tree_pointwise(b, edge)
-    cert.checks["half_tree_fixation"] = {"a_fixes_tail_side": fix_a, "b_fixes_head_side": fix_b}
+    checks["half_tree_fixation"] = {"a_fixes_tail_side": fix_a, "b_fixes_head_side": fix_b}
     if not (fix_a and fix_b):
-        cert.status = "INVALID:half_tree_fixation"
+        cert["status"] = "INVALID:half_tree_fixation"
         return cert
 
     xi = periodic_end((), (0, 1))
     orbit = orbit_truncate([a, b] + gens, xi, cfg["word_length"], cfg["depth"])
-    cert.orbit = {
+    cert["orbit"] = {
         "end": {"prefix": list(xi[0]), "period": list(xi[1])},
         "word_length": orbit.word_length,
         "depth": orbit.depth,
@@ -513,45 +492,42 @@ def build_certificate(config: dict) -> Certificate:
         "heuristic_bound": orbit.heuristic_bound,
         "depth_warning": orbit.depth_warning,
     }
-    cert.caveats.append(f"orbit points identified by ray prefixes at depth {orbit.depth}")
+    caveats.append(f"orbit points identified by ray prefixes at depth {orbit.depth}")
     if orbit.depth_warning:
-        cert.caveats.append(
-            f"depth {orbit.depth} below the heuristic bound {orbit.heuristic_bound}"
-        )
+        caveats.append(f"depth {orbit.depth} below the heuristic bound {orbit.heuristic_bound}")
 
     report = convolution_annihilation_check(a, b, orbit)
-    cert.checks["disjoint_support"] = not report.overlaps
+    checks["disjoint_support"] = not report.overlaps
     if report.overlaps:
-        cert.status = "INVALID:disjoint_support"
+        cert["status"] = "INVALID:disjoint_support"
         return cert
-    cert.checks["annihilation"] = {
+    checks["annihilation"] = {
         "total": report.total,
         "passed": report.passed,
         "failures": [list(w) for w, _ in report.failures],
     }
     if not report.ok:
-        cert.status = "INVALID:annihilation"
+        cert["status"] = "INVALID:annihilation"
         return cert
 
     commute = (a * b) == (b * a)
-    cert.checks["commute"] = commute
-    if not commute:
-        cert.status = "INVALID:commute"
-        return cert
-
-    cert.status = "VALID"
+    checks["commute"] = commute
+    cert["status"] = "VALID" if commute else "INVALID:commute"
     return cert
 
 
 # -- certificate (de)serialization ----------------------------------------------
 
 
-def serialize_certificate(cert: Certificate) -> str:
-    body = json.dumps(cert.to_dict(), sort_keys=True, indent=1)
+def serialize_certificate(cert: dict) -> str:
+    body = json.dumps(cert, sort_keys=True, indent=1)
     return f"{CERT_VERSION}\n{body}\n"
 
 
-def parse_certificate(text: str) -> Certificate:
+def parse_certificate(text: str) -> dict:
+    """The decoded body of a certificate, every key kept.  A wrong version
+    or a missing key of `BODY_KEYS` (the first, in their order) is a
+    ValueError."""
     header, _, body = text.partition("\n")
     if header.strip() != CERT_VERSION:
         raise ValueError(f"unsupported certificate version {header.strip()!r}")
@@ -560,19 +536,19 @@ def parse_certificate(text: str) -> Certificate:
         raise ValueError("certificate body must be a JSON object")
     if data.get("version") != CERT_VERSION:
         raise ValueError("certificate body version mismatch")
-    return Certificate(
-        **{name: require_key(data, name, "certificate body") for name in Certificate.__slots__}
-    )
+    for key in BODY_KEYS:
+        require_key(data, key, "certificate body")
+    return data
 
 
 def verify_certificate(text: str) -> tuple[bool, str]:
     """Re-run the pipeline from the embedded config and compare bit-for-bit;
     on a mismatch, name the first JSON key path where the two differ."""
-    rebuilt = build_certificate(parse_certificate(text).config)
+    body = parse_certificate(text)
+    rebuilt = build_certificate(body["config"])
     if serialize_certificate(rebuilt) == text:
         return True, "certificate re-verified bit-identically"
-    # the decoded body, not the parsed Certificate, which drops unknown keys
-    path = _first_difference(json.loads(text.partition("\n")[2]), rebuilt.to_dict())
+    path = _first_difference(body, rebuilt)
     where = "in formatting only" if path is None else "at " + ".".join(map(str, path))
     return False, f"re-run disagrees with the stored certificate {where}"
 

@@ -16,7 +16,7 @@ from .portraits import TreeAut
 from .tree_core import (
     V0,
     DirectedEdge,
-    FrozenRecord,
+    Record,
     Vertex,
     distance,
     geodesic,
@@ -24,21 +24,21 @@ from .tree_core import (
 )
 
 
-class Elliptic(FrozenRecord):
+class Elliptic(Record):
     __slots__ = ("fixed_vertex",)
 
     def __init__(self, fixed_vertex: Vertex):
         super().__init__(fixed_vertex)
 
 
-class Inversion(FrozenRecord):
+class Inversion(Record):
     __slots__ = ("edge",)
 
     def __init__(self, edge: DirectedEdge):
         super().__init__(edge)
 
 
-class Hyperbolic(FrozenRecord):
+class Hyperbolic(Record):
     __slots__ = ("length", "axis_point")
 
     def __init__(self, length: int, axis_point: Vertex):

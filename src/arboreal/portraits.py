@@ -42,7 +42,7 @@ from .perm_groups import Perm, PermGroup, perm_disagreement
 from .tree_core import (
     V0,
     End,
-    FrozenRecord,
+    Record,
     Vertex,
     check_vertex,
     common_prefix_len,
@@ -395,7 +395,7 @@ class TreeAut:
 # -- group classes ----------------------------------------------------------
 
 
-class GroupClass(FrozenRecord):
+class GroupClass(Record):
     """G(F, F'): local action in F' everywhere and in F at all but finitely
     many vertices, which is U(F) when F' = F; with `star`, its subgroup
     G(F, F')* of the elements that preserve the tree's bipartition."""

@@ -101,14 +101,13 @@ def enumerate_ball(v: Vertex, r: int, window: Iterable[int]) -> set[Vertex]:
 
 
 class Record:
-    """A plain value type whose fields are its `__slots__`, in order.  The
+    """A read-only value type whose fields are its `__slots__`, in order.  The
     subclass `__init__` passes the field values to this one in that order.
-    Two instances of one class are equal when their fields are, and the repr
-    is `Name(field=value, ...)`.  A record is mutable and so unhashable; a
-    `FrozenRecord` is neither."""
+    Two instances of one class are equal when their fields are, the hash is
+    that of the field values (so a record holding a list or a dict raises
+    TypeError), and the repr is `Name(field=value, ...)`."""
 
     __slots__ = ()
-    __hash__ = None
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
@@ -126,23 +125,17 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
-
-class FrozenRecord(Record):
-    """A read-only record, hashed by its field values."""
-
-    __slots__ = ()
-
     def __hash__(self) -> int:
         return hash(self._values())
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+        raise AttributeError(f"cannot delete field {name!r} of a record")
 
 
-class DirectedEdge(FrozenRecord):
+class DirectedEdge(Record):
     """The edge of the given color at the tail vertex, oriented tail -> head.
 
     It names the half-tree beyond it, the component of the tree minus the

@@ -27,7 +27,7 @@ from arboreal.cstar_obstruction import (
     verify_certificate,
 )
 from arboreal.dynamics import fixes_half_tree_pointwise
-from arboreal.perm_groups import Perm, PermGroup, cyclic_table
+from arboreal.perm_groups import Perm, PermGroup, cyclic_table, point_stabilizer
 from arboreal.portraits import (
     GroupClass,
     TreeAut,
@@ -35,7 +35,14 @@ from arboreal.portraits import (
     end_image_prefix,
     random_element,
 )
-from arboreal.tree_core import V0, DirectedEdge, half_tree, periodic_end, ray_prefix
+from arboreal.tree_core import (
+    V0,
+    DirectedEdge,
+    half_tree,
+    is_reduced,
+    periodic_end,
+    ray_prefix,
+)
 
 ALT3 = PermGroup.alternating(3)
 SYM3 = PermGroup.symmetric(3)
@@ -278,8 +285,8 @@ def test_overlapping_witnesses_give_the_pinned_disjoint_support_certificate(monk
     monkeypatch.setattr(cstar_obstruction, "disjoint_support_pair", lambda F, Fp, e: (a, a))
     monkeypatch.setattr(cstar_obstruction, "fixes_half_tree_pointwise", lambda g, h: True)
     cert = build_certificate({"preset": "g-alt3-sym3"})
-    assert cert.status == "INVALID:disjoint_support"
-    assert cert.checks["disjoint_support"] is False and "annihilation" not in cert.checks
+    assert cert["status"] == "INVALID:disjoint_support"
+    assert cert["checks"]["disjoint_support"] is False and "annihilation" not in cert["checks"]
     text = serialize_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "97ff7905821fec885e290dca17206758f72454a9bd4b2960fd1eafc9a3abe288")
@@ -344,8 +351,8 @@ def test_wreath_config_certifies_as_its_preset(n, m):
     # the wreath tables of Z/n and Z/m name the preset's pair: the bodies
     # differ only in the config and the group label
     tables = {"gamma": cyclic_table(n), "a": cyclic_table(m)}
-    wreath = build_certificate({"wreath": tables}).to_dict()
-    preset = build_certificate({"preset": f"wreath-z{n}-z{m}"}).to_dict()
+    wreath = build_certificate({"wreath": tables})
+    preset = build_certificate({"preset": f"wreath-z{n}-z{m}"})
     assert wreath["status"] == "VALID"
     assert wreath["group"].pop("label") == "G(wreath pair)"
     assert preset["group"].pop("label") == f"G(Z/{n}^(Z/{m}), Z/{n} wr Z/{m})"
@@ -355,13 +362,13 @@ def test_wreath_config_certifies_as_its_preset(n, m):
 
 def test_build_certificate_valid_for_alt3_sym3():
     cert = build_certificate({"preset": "g-alt3-sym3"})
-    assert cert.status == "VALID"
-    assert cert.checks["general_type"]["found"]
-    assert cert.checks["disjoint_support"] is True
-    assert cert.checks["annihilation"]["failures"] == []
-    assert cert.checks["commute"] is True
-    assert cert.group["edge_stabilizer_amenability"].startswith("finite")
-    a, b = aut_from_data(cert.witness_a), aut_from_data(cert.witness_b)
+    assert cert["status"] == "VALID"
+    assert cert["checks"]["general_type"]["found"]
+    assert cert["checks"]["disjoint_support"] is True
+    assert cert["checks"]["annihilation"]["failures"] == []
+    assert cert["checks"]["commute"] is True
+    assert cert["group"]["edge_stabilizer_amenability"].startswith("finite")
+    a, b = aut_from_data(cert["witness_a"]), aut_from_data(cert["witness_b"])
     assert a * b == b * a
 
 
@@ -375,8 +382,8 @@ def test_build_certificate_invalid_when_groups_coincide():
 
 def test_build_certificate_wreath_preset():
     cert = build_certificate({"preset": "wreath-z2-z2", "depth": 14})
-    assert cert.status == "VALID"
-    assert cert.group["omega"] == 4
+    assert cert["status"] == "VALID"
+    assert cert["group"]["omega"] == 4
 
 
 def test_certificate_round_trip_and_reverify():
@@ -387,7 +394,7 @@ def test_certificate_round_trip_and_reverify():
     ok, msg = verify_certificate(text)
     assert ok, msg
     # determinism: rebuilding from the same config is byte-identical
-    assert serialize_certificate(build_certificate(cert.config)) == text
+    assert serialize_certificate(build_certificate(cert["config"])) == text
 
 
 def test_certificate_rejects_bad_version():
@@ -464,7 +471,7 @@ def _listed_status(F, Fp):
     its generator tables."""
     groups = {name: {"kind": "listed", "perms": [list(p) for p in gens]}
               for name, gens in (("F", F), ("Fp", Fp))}
-    return build_certificate({"groups": groups, "word_length": 2}).status
+    return build_certificate({"groups": groups, "word_length": 2})["status"]
 
 
 @pytest.mark.parametrize("degree, count", [(3, 1), (4, 14), (5, 24)])
@@ -496,6 +503,41 @@ def test_relabelling_the_colors_keeps_the_status(data):
         return [tuple(pi[g[pi.index(c)]] for c in range(len(pi))) for g in gens]
 
     assert _listed_status(relabel(F), relabel(Fp)) == _listed_status(F, Fp)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_fixators_at_any_short_edge_fix_their_half_trees(data):
+    """At an edge whose tail has 0 to 2 letters, the disjoint-support pair is
+    nontrivial, passes both fixations and commutes, and each nontrivial
+    sigma fixing the edge color gives a witness that fixes the half-tree:
+    every such sigma of a degree 3 to 5 pair, and a drawn finitary one over
+    the integer colors -3..3."""
+    pair = data.draw(st.one_of(st.just(None), st.sampled_from(_small_pairs())))
+    if pair is None:
+        F, Fp, colors = PermGroup.z_translations(), PermGroup.z_finitary_affine(), range(-3, 4)
+    else:
+        F, Fp = (PermGroup.generated([Perm(t) for t in gens]) for gens in pair)
+        colors = range(F.degree)
+    n = data.draw(st.integers(0, 2))
+    tail = data.draw(st.lists(st.sampled_from(colors), min_size=n, max_size=n).filter(is_reduced))
+    e = half_tree(tail, data.draw(st.sampled_from(colors)))
+
+    a, b = disjoint_support_pair(F, Fp, e)
+    assert not a.is_identity() and not b.is_identity()
+    assert fixes_half_tree_pointwise(a, e.reversed()) and fixes_half_tree_pointwise(b, e)
+    assert a * b == b * a
+
+    stab = point_stabilizer(Fp, e.color)
+    if stab.kind == "finite":
+        sigmas = [sigma for sigma in stab.elements if not sigma.is_identity()]
+    else:
+        others = [c for c in colors if c != e.color]
+        moved = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=3, unique=True))
+        image = data.draw(st.permutations(moved).filter(lambda p: p != moved))
+        sigmas = [Perm(patch=dict(zip(moved, image)))]
+    for sigma in sigmas:
+        assert fixes_half_tree_pointwise(fixator_witness(F, Fp, e, sigma), e)
 
 
 def test_integer_witness_has_swap_core_and_translation_branches():
