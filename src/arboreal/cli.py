@@ -137,20 +137,18 @@ def cmd_orbit(args) -> int:
     require_admissible_pair(F, Fp)
     # the certificate's orbit: the witness pair, then the generators of F
     gens = [*disjoint_support_pair(F, Fp, DirectedEdge(V0, 0)), *standard_generators(F)]
-    xi = periodic_end((), (0, 1))
-    orbit = orbit_truncate(gens, xi, config["word_length"], config["depth"])
-    pre, per = ("".join(map(str, w)) for w in xi)
+    orbit, points = orbit_truncate(gens, periodic_end((), (0, 1)), config["word_length"],
+                                   config["depth"])
+    depth = orbit["depth"]
+    pre, per = ("".join(map(str, orbit["end"][k])) for k in ("prefix", "period"))
     print(f"group: {label}")
-    print(f"end: End({pre}({per})^oo), word length {orbit.word_length}, depth {orbit.depth}")
-    if orbit.depth_warning:
-        print(f"warning: depth below heuristic bound {orbit.heuristic_bound}")
-    print(f"points: {len(orbit.points)}")
-    lines = []
-    for word, end in orbit.points:
-        wname = ".".join(map(str, word)) or "e"
-        lines.append(f"  {wname}: {''.join(map(str, ray_prefix(end, orbit.depth)))}")
-    output = "\n".join(lines) + "\n"
-    _write_or_print(output, args["out"])
+    print(f"end: End({pre}({per})^oo), word length {orbit['word_length']}, depth {depth}")
+    if orbit["depth_warning"]:
+        print(f"warning: depth below heuristic bound {orbit['heuristic_bound']}")
+    print(f"points: {orbit['points']}")
+    lines = [f"  {'.'.join(map(str, word)) or 'e'}: {''.join(map(str, ray_prefix(end, depth)))}"
+             for word, end in points]
+    _write_or_print("\n".join(lines) + "\n", args["out"])
     return 0
 
 

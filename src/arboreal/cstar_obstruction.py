@@ -28,6 +28,7 @@ from .perm_groups import (
     check_wreath_degree,
     cyclic_table,
     orbits,
+    perm_disagreement,
     point_stabilizer,
     wreath_embedding,
 )
@@ -100,17 +101,20 @@ def fixator_witness(F: PermGroup, Fp: PermGroup, h: DirectedEdge, sigma: Perm | 
         raise ValueError("sigma must fix the color of the defining edge")
 
     # the path from the base vertex to t moves rigidly; at t the default is
-    # the identity, which is the matching F-element at every color that sigma
-    # fixes because F acts freely, so only the moved colors need rules
+    # the F-element that matches sigma at cofinitely many colors: the
+    # identity on finite colors, the translation by sigma's shift on the
+    # integers.  F acts freely, so only the colors where sigma and the
+    # default differ need rules
     rest = Perm.identity(deg)
     if h.is_cylinder and t:
         rest = _matching_f_element(F, t[-1], sigma(t[-1]))
     core = {t[:k]: rest for k in range(len(t))}
     core[t] = sigma
-    defaults = {**core, t: Perm.identity(deg)}
+    default = Perm.identity(deg) if deg is not None else Perm.z_translation(sigma.shift)
+    defaults = {**core, t: default}
     branches = {
         (t, c): _matching_f_element(F, c, sigma(c))
-        for c in sigma.moved_colors() or ()
+        for c in perm_disagreement(sigma, default)
         if not t or c != t[-1]
     }
     img = t
@@ -140,37 +144,24 @@ def disjoint_support_pair(F: PermGroup, Fp: PermGroup, e: DirectedEdge) -> tuple
 # -- orbit truncation and the convolution identity ----------------------------
 
 
-class OrbitTruncation(Record):
-    """Products of the generators up to the word length, applied to the base
-    end, one point for each ray prefix of the stated depth.
-
-    Each point is (word, end): the minimal word, in (length, lex) order,
-    whose image of the base end has that depth prefix, and that image as the
-    canonical (prefix, period) pair that `periodic_end` returns.
-    heuristic_bound and depth_warning are certificate values; no check reads
-    them.
-    """
-
-    __slots__ = ("word_length", "depth", "points", "heuristic_bound", "depth_warning")
-
-    def __init__(self, word_length: int, depth: int, points: list[tuple[tuple[int, ...], End]],
-                 heuristic_bound: int, depth_warning: bool):
-        super().__init__(word_length, depth, points, heuristic_bound, depth_warning)
-
-
-def orbit_truncate(gens: list[TreeAut], xi: End, word_length: int, depth: int) -> OrbitTruncation:
-    """Enumerate the orbit of the end under short products of the generators.
+def orbit_truncate(gens: list[TreeAut], xi: End, word_length: int, depth: int
+                   ) -> tuple[dict, list[tuple[tuple[int, ...], End]]]:
+    """Enumerate the orbit of the end under short products of the generators,
+    as the certificate's orbit block and the points behind it.
 
     Breadth-first over exact ends, never over group elements: the word
     (i,) + w maps the end to a_i(w(xi)), so layer k applies each letter of
     `distinct_letters` to the ends of layer k-1 and keeps an image only if
     no earlier word reached that same end.  The tail w of the first word of
     an end is the first word of its own end, so this keeps the first word
-    of every end within the word length.  The points are the first of those
-    words for each ray prefix of the stated depth, so the point count is a
-    lower bound for the true orbit; a depth below the recorded heuristic
-    bound, which grows with the largest generator displacement, only raises
-    a warning flag.
+    of every end within the word length.  The points are (word, end) pairs,
+    one for each ray prefix of the stated depth: the first word, in (length,
+    lex) order, whose image of xi has that prefix, and that image as the
+    (prefix, period) pair of `periodic_end`; so their count is a lower bound
+    for the true orbit.  The block is the certificate's `orbit` value: the
+    end, the bounds, the point count, and a heuristic bound that grows with
+    the largest generator displacement, with a flag, which no check reads,
+    for a depth below it.
     """
     letters = distinct_letters(gens)
     margin = max(len(g.base) for g in gens)
@@ -188,21 +179,19 @@ def orbit_truncate(gens: list[TreeAut], xi: End, word_length: int, depth: int) -
                     nxt.append(((i,) + word, img))
         layer = nxt
         kept += layer
-    points = {}
+    firsts = {}
     for word, end in kept:
-        points.setdefault(ray_prefix(end, depth), (word, end))
-    return OrbitTruncation(
-        word_length=word_length,
-        depth=depth,
-        points=list(points.values()),
-        heuristic_bound=bound,
-        depth_warning=depth < bound,
-    )
+        firsts.setdefault(ray_prefix(end, depth), (word, end))
+    points = list(firsts.values())
+    block = {"end": {"prefix": list(xi[0]), "period": list(xi[1])}, "word_length": word_length,
+             "depth": depth, "points": len(points), "heuristic_bound": bound,
+             "depth_warning": depth < bound}
+    return block, points
 
 
-def disjoint_support_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncation) -> bool:
-    """True iff no truncated orbit point is moved by both a and b."""
-    return not convolution_annihilation_check(a, b, orbit).overlaps
+def disjoint_support_check(a: TreeAut, b: TreeAut, points: list, depth: int) -> bool:
+    """True iff no orbit point is moved by both a and b."""
+    return not convolution_annihilation_check(a, b, points, depth).overlaps
 
 
 class AnnihilationReport(Record):
@@ -221,16 +210,17 @@ class AnnihilationReport(Record):
         return self.passed == self.total
 
 
-def convolution_annihilation_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncation) -> AnnihilationReport:
+def convolution_annihilation_check(a: TreeAut, b: TreeAut, points: list, depth: int
+                                   ) -> AnnihilationReport:
     """Verify on exact ends that applying (1-a)(1-b) to each orbit point's
     basis vector gives zero: the multiset {eta, a b eta} must equal
     {a eta, b eta}.  One pass per point computes b eta and, where b moves
     eta, a eta and a b eta, and records the point's word if both a and b
     move it.  Where b fixes eta both multisets are {eta, a eta}, so the point
     passes and is no overlap whatever a eta is.  A failure names the four
-    ends by their ray prefixes at the orbit's depth."""
+    ends by their ray prefixes at the given depth."""
     failures, overlaps = [], []
-    for word, eta in orbit.points:
+    for word, eta in points:
         b_eta = b.end_image(eta)
         if b_eta == eta:
             continue
@@ -238,11 +228,11 @@ def convolution_annihilation_check(a: TreeAut, b: TreeAut, orbit: OrbitTruncatio
         if a_eta != eta:
             overlaps.append(word)
         if sorted([eta, ab_eta]) != sorted([a_eta, b_eta]):
-            rays = [ray_prefix(end, orbit.depth) for end in (eta, a_eta, b_eta, ab_eta)]
+            rays = [ray_prefix(end, depth) for end in (eta, a_eta, b_eta, ab_eta)]
             failures.append((word, "{} -> {}, {}, {}".format(*rays)))
     return AnnihilationReport(
-        total=len(orbit.points),
-        passed=len(orbit.points) - len(failures),
+        total=len(points),
+        passed=len(points) - len(failures),
         failures=failures,
         overlaps=overlaps,
     )
@@ -482,21 +472,14 @@ def build_certificate(config: dict) -> dict:
         cert["status"] = "INVALID:half_tree_fixation"
         return cert
 
-    xi = periodic_end((), (0, 1))
-    orbit = orbit_truncate([a, b] + gens, xi, cfg["word_length"], cfg["depth"])
-    cert["orbit"] = {
-        "end": {"prefix": list(xi[0]), "period": list(xi[1])},
-        "word_length": orbit.word_length,
-        "depth": orbit.depth,
-        "points": len(orbit.points),
-        "heuristic_bound": orbit.heuristic_bound,
-        "depth_warning": orbit.depth_warning,
-    }
-    caveats.append(f"orbit points identified by ray prefixes at depth {orbit.depth}")
-    if orbit.depth_warning:
-        caveats.append(f"depth {orbit.depth} below the heuristic bound {orbit.heuristic_bound}")
+    orbit, points = orbit_truncate([a, b] + gens, periodic_end((), (0, 1)), cfg["word_length"],
+                                   cfg["depth"])
+    cert["orbit"] = orbit
+    caveats.append(f"orbit points identified by ray prefixes at depth {orbit['depth']}")
+    if orbit["depth_warning"]:
+        caveats.append(f"depth {orbit['depth']} below the heuristic bound {orbit['heuristic_bound']}")
 
-    report = convolution_annihilation_check(a, b, orbit)
+    report = convolution_annihilation_check(a, b, points, orbit["depth"])
     checks["disjoint_support"] = not report.overlaps
     if report.overlaps:
         cert["status"] = "INVALID:disjoint_support"

@@ -142,11 +142,11 @@ def test_criterion_5_convolution_identity():
         a, b = disjoint_support_pair(ALT3, SYM3, edge)
         gens = [a, b] + standard_generators(ALT3)
         xi = periodic_end((), (0, 1))
-        orbit = orbit_truncate(gens, xi, 3, 16)
-        assert not orbit.depth_warning
-        assert disjoint_support_check(a, b, orbit)
-        report = convolution_annihilation_check(a, b, orbit)
-        assert report.total == len(orbit.points) and report.passed == report.total
+        orbit, points = orbit_truncate(gens, xi, 3, 16)
+        assert not orbit["depth_warning"]
+        assert disjoint_support_check(a, b, points, 16)
+        report = convolution_annihilation_check(a, b, points, 16)
+        assert report.total == len(points) == orbit["points"] and report.passed == report.total
         assert a * b == b * a
 
 

@@ -732,6 +732,11 @@ def test_ill_typed_free_product_table_is_a_config_error(tmp_path, capsys, tables
 NINES = "9" * 3000
 
 
+# every element of C2^10, the products of the swaps of colors 2i and 2i + 1: a
+# group listed whole, which its closure must reject at its 721st element
+C2_10 = [[c ^ 1 if m >> (c // 2) & 1 else c for c in range(20)] for m in range(1024)]
+
+
 def _no_tables(*args, **kwargs):
     raise AssertionError("permutations listed for an oversized group")
 
@@ -762,6 +767,8 @@ def _no_tables(*args, **kwargs):
                                    "perms": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]},
                              "Fp": SYM3}},
                  "group order must be at most 720, got at least 721", id="listed-sym7"),
+    pytest.param({"groups": {"F": {"kind": "listed", "perms": C2_10}, "Fp": SYM3}},
+                 "group order must be at most 720, got at least 721", id="listed-c2-10"),
     # and below the lower cap, on no colors
     pytest.param({"groups": {"F": {"kind": "symmetric", "degree": 0}, "Fp": SYM3}},
                  "color-set degree must be at least 1, got 0", id="symmetric-0"),

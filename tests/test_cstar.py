@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from arboreal import cstar_obstruction
 from arboreal.cstar_obstruction import (
-    OrbitTruncation,
     build_certificate,
     convolution_annihilation_check,
     disjoint_support_check,
@@ -141,7 +140,7 @@ def test_orbit_truncation_matches_independent_enumerator():
         TreeAut.from_constant(Perm.identity(3), (0, 1)),
     ]
     xi = periodic_end((), (0, 1))
-    assert not orbit_truncate(gens, xi, 3, 16).depth_warning
+    assert not orbit_truncate(gens, xi, 3, 16)[0]["depth_warning"]
     cases = [(gens, 3)]
     # wreath-z2-z2 repeats letters: the inverse of each F-constant is itself
     for preset, length in [("g-alt3-sym3", 3), ("z-translations", 3), ("wreath-z2-z2", 2)]:
@@ -152,11 +151,11 @@ def test_orbit_truncation_matches_independent_enumerator():
     # word is kept for each depth prefix, not only the point set
     for gens, length in cases:
         for depth in (1, 3, 16):
-            orbit = orbit_truncate(gens, xi, length, depth)
+            _, points = orbit_truncate(gens, xi, length, depth)
             expected = independent_orbit_enumeration(gens, xi, length, depth)
-            assert [(w, ray_prefix(end, depth)) for w, end in orbit.points] == expected
+            assert [(w, ray_prefix(end, depth)) for w, end in points] == expected
             # each label's product maps the end to its point, exactly
-            for word, end in orbit.points:
+            for word, end in points:
                 assert_end_of(end, word_element(gens, word), xi)
 
 
@@ -181,26 +180,25 @@ def test_orbit_truncation_matches_independent_enumerator_on_random_generators(da
     length = data.draw(st.integers(2, 3))
     xi = periodic_end((), (0, 1))
     for depth in (1, 3, 16):
-        orbit = orbit_truncate(gens, xi, length, depth)
+        _, points = orbit_truncate(gens, xi, length, depth)
         expected = independent_orbit_enumeration(gens, xi, length, depth)
-        assert [(w, ray_prefix(end, depth)) for w, end in orbit.points] == expected
-        for word, end in orbit.points:
+        assert [(w, ray_prefix(end, depth)) for w, end in points] == expected
+        for word, end in points:
             assert_end_of(end, word_element(gens, word), xi)
 
 
 def test_orbit_truncation_trivial_cases():
     xi = periodic_end((), (0, 1))
     gens = [TreeAut.identity(3)]
-    orbit = orbit_truncate(gens, xi, 4, 12)
-    assert len(orbit.points) == 1
-    orbit0 = orbit_truncate(standard_generators(ALT3), xi, 0, 12)
-    assert len(orbit0.points) == 1
+    for orbit, points in [orbit_truncate(gens, xi, 4, 12),
+                          orbit_truncate(standard_generators(ALT3), xi, 0, 12)]:
+        assert len(points) == orbit["points"] == 1
 
 
 def test_orbit_truncation_depth_warning():
     gens = [TreeAut.from_constant(Perm.identity(3), (0, 1))]
-    orbit = orbit_truncate(gens, periodic_end((), (0, 1)), 3, 4)
-    assert orbit.depth_warning
+    orbit, _ = orbit_truncate(gens, periodic_end((), (0, 1)), 3, 4)
+    assert orbit["depth_warning"]
 
 
 def test_disjoint_support_and_annihilation_full_pipeline():
@@ -208,32 +206,32 @@ def test_disjoint_support_and_annihilation_full_pipeline():
     a, b = disjoint_support_pair(ALT3, SYM3, e)
     gens = [a, b] + standard_generators(ALT3)
     xi = periodic_end((), (0, 1))
-    orbit = orbit_truncate(gens, xi, 3, 16)
-    assert len(orbit.points) > 10
-    assert disjoint_support_check(a, b, orbit)
-    report = convolution_annihilation_check(a, b, orbit)
-    assert report.ok and report.total == len(orbit.points)
+    orbit, points = orbit_truncate(gens, xi, 3, 16)
+    assert orbit["points"] == len(points) > 10
+    assert disjoint_support_check(a, b, points, 16)
+    report = convolution_annihilation_check(a, b, points, 16)
+    assert report.ok and report.total == len(points)
 
 
 def test_disjoint_support_check_detects_overlap():
     e = DirectedEdge(V0, 0)
     a, _ = disjoint_support_pair(ALT3, SYM3, e)
     gens = [a] + standard_generators(ALT3)
-    orbit = orbit_truncate(gens, periodic_end((), (0, 1)), 2, 14)
+    _, points = orbit_truncate(gens, periodic_end((), (0, 1)), 2, 14)
     # the same element on both sides moves some orbit point twice
-    assert not disjoint_support_check(a, a, orbit)
+    assert not disjoint_support_check(a, a, points, 14)
     # an identity side is disjoint from anything
-    assert disjoint_support_check(TreeAut.identity(3), a, orbit)
+    assert disjoint_support_check(TreeAut.identity(3), a, points, 14)
 
 
-def reference_annihilation(a, b, orbit):
+def reference_annihilation(a, b, points):
     """The failures and overlaps of the point checks with a eta, b eta and
     a b eta each from its own evaluation, and a b eta through the product.
     Ends are compared by their first 64 letters, far past the prefix of any
     end here, so equal prefixes mean equal ends."""
     ab = a * b
     failures, overlaps = [], []
-    for word, end in orbit.points:
+    for word, end in points:
         eta = ray_prefix(end, 64)
         a_eta, b_eta = end_image_prefix(a, end, 64), end_image_prefix(b, end, 64)
         ab_eta = end_image_prefix(ab, end, 64)
@@ -248,21 +246,21 @@ def test_annihilation_report_overlaps_are_the_points_both_sides_move():
     e = DirectedEdge(V0, 0)
     a, b = disjoint_support_pair(ALT3, SYM3, e)
     gens = [a] + standard_generators(ALT3)
-    orbit = orbit_truncate(gens, periodic_end((), (0, 1)), 2, 14)
+    _, points = orbit_truncate(gens, periodic_end((), (0, 1)), 2, 14)
     glide = gens[-1]
     pairs = [(a, a), (TreeAut.identity(3), a), (a, b), (b, a), (a, glide), (glide, b)]
     for x, y in pairs:
-        report = convolution_annihilation_check(x, y, orbit)
-        failures, overlaps = reference_annihilation(x, y, orbit)
+        report = convolution_annihilation_check(x, y, points, 14)
+        failures, overlaps = reference_annihilation(x, y, points)
         assert report.overlaps == overlaps
         assert [w for w, _ in report.failures] == failures
-        assert report.total == len(orbit.points) and report.passed == report.total - len(failures)
-        assert disjoint_support_check(x, y, orbit) == (not overlaps)
-    assert convolution_annihilation_check(a, a, orbit).overlaps
-    assert convolution_annihilation_check(TreeAut.identity(3), a, orbit).overlaps == []
-    assert convolution_annihilation_check(a, b, orbit).overlaps == []
+        assert report.total == len(points) and report.passed == report.total - len(failures)
+        assert disjoint_support_check(x, y, points, 14) == (not overlaps)
+    assert convolution_annihilation_check(a, a, points, 14).overlaps
+    assert convolution_annihilation_check(TreeAut.identity(3), a, points, 14).overlaps == []
+    assert convolution_annihilation_check(a, b, points, 14).overlaps == []
     # a pair that breaks the identity, so the failure words are tested too
-    assert convolution_annihilation_check(a, glide, orbit).failures
+    assert convolution_annihilation_check(a, glide, points, 14).failures
 
 
 def test_annihilation_reads_the_letters_past_the_depth_that_a_needs():
@@ -272,9 +270,9 @@ def test_annihilation_reads_the_letters_past_the_depth_that_a_needs():
     a = TreeAut.from_constant(Perm.identity(3), (0, 1))
     b = fixator_witness(ALT3, SYM3, DirectedEdge((1, 0, 2), 2))
     # the ray (1, 0, 2, 1, 0, 1, 0, ...)
-    orbit = OrbitTruncation(1, 3, [((), ((1, 0, 2), (1, 0)))], 0, False)
-    report = convolution_annihilation_check(a, b, orbit)
-    assert [w for w, _ in report.failures] == reference_annihilation(a, b, orbit)[0] == [()]
+    points = [((), ((1, 0, 2), (1, 0)))]
+    report = convolution_annihilation_check(a, b, points, 3)
+    assert [w for w, _ in report.failures] == reference_annihilation(a, b, points)[0] == [()]
     assert report.failures[0][1] == "(1, 0, 2) -> (2, 1, 0), (1, 0, 2), (2, 0, 2)"
 
 
@@ -300,16 +298,16 @@ def test_orbit_and_point_checks_take_elements_that_move_the_base_vertex_far():
     xi = periodic_end((), (0, 1))
     gens = [far, a, b] + standard_generators(ALT3)
     for depth in (1, 3, 12):
-        orbit = orbit_truncate(gens, xi, 2, depth)
+        _, points = orbit_truncate(gens, xi, 2, depth)
         expected = independent_orbit_enumeration(gens, xi, 2, depth)
-        assert [(w, ray_prefix(end, depth)) for w, end in orbit.points] == expected
+        assert [(w, ray_prefix(end, depth)) for w, end in points] == expected
     for x, y in [(far, b), (a, far), (a, b)]:
-        report = convolution_annihilation_check(x, y, orbit)
-        failures, overlaps = reference_annihilation(x, y, orbit)
+        report = convolution_annihilation_check(x, y, points, depth)
+        failures, overlaps = reference_annihilation(x, y, points)
         assert report.overlaps == overlaps
         assert [w for w, _ in report.failures] == failures
-        assert disjoint_support_check(x, y, orbit) == (not overlaps)
-    assert convolution_annihilation_check(far, b, orbit).overlaps
+        assert disjoint_support_check(x, y, points, depth) == (not overlaps)
+    assert convolution_annihilation_check(far, b, points, depth).overlaps
 
 
 def test_filtration_level_0_trivial_kernel():
@@ -511,8 +509,9 @@ def test_fixators_at_any_short_edge_fix_their_half_trees(data):
     """At an edge whose tail has 0 to 2 letters, the disjoint-support pair is
     nontrivial, passes both fixations and commutes, and each nontrivial
     sigma fixing the edge color gives a witness that fixes the half-tree:
-    every such sigma of a degree 3 to 5 pair, and a drawn finitary one over
-    the integer colors -3..3."""
+    every such sigma of a degree 3 to 5 pair, and a drawn one over the
+    integer colors: a finitary permutation of -3..3 fixing the edge color,
+    then a shift by -2..2, then the swap that brings the edge color back."""
     pair = data.draw(st.one_of(st.just(None), st.sampled_from(_small_pairs())))
     if pair is None:
         F, Fp, colors = PermGroup.z_translations(), PermGroup.z_finitary_affine(), range(-3, 4)
@@ -535,7 +534,9 @@ def test_fixators_at_any_short_edge_fix_their_half_trees(data):
         others = [c for c in colors if c != e.color]
         moved = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=3, unique=True))
         image = data.draw(st.permutations(moved).filter(lambda p: p != moved))
-        sigmas = [Perm(patch=dict(zip(moved, image)))]
+        shift = data.draw(st.integers(-2, 2))
+        sigmas = [Perm.z_swap(e.color + shift, e.color) * Perm.z_translation(shift)
+                  * Perm(patch=dict(zip(moved, image)))]
     for sigma in sigmas:
         assert fixes_half_tree_pointwise(fixator_witness(F, Fp, e, sigma), e)
 

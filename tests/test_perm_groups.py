@@ -92,12 +92,19 @@ def _perms(degree):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 5).flatmap(lambda d: st.lists(_perms(d), min_size=1, max_size=3)))
-def test_generated_equals_the_naive_closure(gens):
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(_perms(d), min_size=1, max_size=3)),
+       st.data())
+def test_generated_equals_the_naive_closure(gens, data):
+    closure = sorted(_naive_closure(gens), key=Perm.key)
+    # the same group from redundant members before or after the generators,
+    # and from all of its elements in any order
+    redundant = data.draw(st.lists(st.sampled_from(closure), min_size=1, max_size=4))
+    for listed in (redundant + gens, gens + redundant, data.draw(st.permutations(closure))):
+        assert PermGroup.generated(listed).elements == tuple(closure)
     G = PermGroup.generated(gens)
     els = set(G.elements)
-    assert els == _naive_closure(gens)
-    assert list(G.elements) == sorted(els, key=Perm.key)
+    assert els == set(closure)
+    assert list(G.elements) == closure
     assert G.degree == gens[0].degree
     for a in G.elements:
         assert a.inv() in els

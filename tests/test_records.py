@@ -11,7 +11,6 @@ from arboreal.cstar_obstruction import (
     BODY_KEYS,
     AnnihilationReport,
     FiltrationReport,
-    OrbitTruncation,
     build_certificate,
     parse_certificate,
     serialize_certificate,
@@ -32,8 +31,6 @@ RECORDS = [
     (Inversion, ("edge",), (E1,), {}, True),
     (Hyperbolic, ("length", "axis_point"), (2, (0,)), {}, True),
     (GroupClass, ("F", "Fp", "star"), (ALT3, SYM3, True), {"star": False}, True),
-    (OrbitTruncation, ("word_length", "depth", "points", "heuristic_bound", "depth_warning"),
-     (2, 8, [((), (0, 1))], 6, False), {}, False),
     (AnnihilationReport, ("total", "passed", "failures", "overlaps"),
      (3, 2, [((1,), "x")], [(1,)]), {}, False),
     (FiltrationReport, ("level", "ok", "details"), (1, True, {"hits": {}}), {}, False),
