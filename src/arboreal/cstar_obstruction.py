@@ -131,11 +131,14 @@ def fixator_witness(F: PermGroup, Fp: PermGroup, h: DirectedEdge, sigma: Perm | 
     return g
 
 
-def disjoint_support_pair(F: PermGroup, Fp: PermGroup, e: DirectedEdge) -> tuple[TreeAut, TreeAut]:
+def disjoint_support_pair(F: PermGroup, Fp: PermGroup, e: DirectedEdge, sigma: Perm | None = None
+                          ) -> tuple[TreeAut, TreeAut]:
     """Nontrivial fixators of the two half-trees at e: the first fixes the
     tail side (so its support lies in the head side), the second the reverse.
-    Both take one sigma fixing e's color; disjointly supported ones commute."""
-    sigma = point_stabilizer(Fp, e.color).sample_nontrivial()
+    Both take one sigma fixing e's color, by default the one `fixator_witness`
+    takes; disjointly supported ones commute."""
+    if sigma is None:
+        sigma = point_stabilizer(Fp, e.color).sample_nontrivial()
     a = fixator_witness(F, Fp, e.reversed(), sigma)
     b = fixator_witness(F, Fp, e, sigma)
     return a, b
@@ -442,6 +445,7 @@ def build_certificate(config: dict) -> dict:
     F, Fp, label = resolve_groups(cfg)
     require_admissible_pair(F, Fp)
     edge = DirectedEdge(V0, 0)
+    stab = point_stabilizer(Fp, edge.color)
     cert = {"version": CERT_VERSION, **dict.fromkeys(BODY_KEYS), "config": cfg, "checks": {},
             "caveats": []}
     checks, caveats = cert["checks"], cert["caveats"]
@@ -450,7 +454,7 @@ def build_certificate(config: dict) -> dict:
         "omega": "Z" if F.degree is None else F.degree,
         "F": F.describe(),
         "Fp": Fp.describe(),
-        "edge_stabilizer_amenability": point_stabilizer(Fp, edge.color).amenability_reason,
+        "edge_stabilizer_amenability": stab.amenability_reason,
     }
     cert["edge"] = {"tail": list(edge.tail), "color": edge.color}
 
@@ -461,7 +465,7 @@ def build_certificate(config: dict) -> dict:
         cert["status"] = "INVALID:general_type"
         return cert
 
-    a, b = disjoint_support_pair(F, Fp, edge)
+    a, b = disjoint_support_pair(F, Fp, edge, stab.sample_nontrivial())
     cert["witness_a"] = aut_to_data(a)
     cert["witness_b"] = aut_to_data(b)
 

@@ -6,8 +6,9 @@ of A.
 Two flavors of permutation are supported: finite lookup tables on
 {0, ..., d-1}, and integer permutations in the normal form
 x -> shift + patch(x) where the patch is a finitary bijection of Z.
-Amenability is never decided; group families carry a free-text
-`amenability_reason` annotation that is propagated into certificates.
+Amenability is never decided: each group carries a free-text
+`amenability_reason`, computed from its family (and, for a finite group, its
+order) and propagated into certificates.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from collections.abc import Iterable
 # their order.
 MAX_DEGREE = 64
 MAX_ORDER = 720
+
+# why each integer family is amenable; a finite group's reason is its order
+_FAMILY_REASONS = {"z_translations": "infinite cyclic", "z_finitary": "locally finite ⋊ Z",
+                  "z_stabilizer": "(locally finite)-by-Z"}
 
 
 class NotASubgroupError(ValueError):
@@ -126,14 +131,6 @@ class Perm:
             return all(self.table[i] == i for i in range(len(self.table)))
         return self.shift == 0 and not self.patch
 
-    def moved_colors(self) -> set[int] | None:
-        """The finite set of moved colors, or None when cofinitely many move."""
-        if self.table is not None:
-            return {c for c in range(len(self.table)) if self.table[c] != c}
-        if self.shift != 0:
-            return None
-        return set(self.patch)
-
     def key(self):
         if self.table is not None:
             return ("f", self.table)
@@ -154,12 +151,12 @@ class Perm:
             if self.patch:
                 return f"Perm(z:+{self.shift},{dict(sorted(self.patch.items()))})"
             return f"Perm(z:+{self.shift})"
-        moved = self.moved_colors()
+        moved = [c for c, x in enumerate(self.table) if x != c]
         if not moved:
             return "Perm(id)"
         cycles = []
         seen = set()
-        for c in sorted(moved):
+        for c in moved:
             if c in seen:
                 continue
             cyc = [c]
@@ -233,7 +230,7 @@ class PermGroup:
 
     __slots__ = ("kind", "elements", "degree", "point", "amenability_reason")
 
-    def __init__(self, kind, gens=None, point=None, amenability_reason=None):
+    def __init__(self, kind, gens=None, point=None):
         self.kind = kind
         self.point = point
         if kind == "finite":
@@ -249,31 +246,27 @@ class PermGroup:
             # composition, so it also holds the identity and every inverse (powers)
             self.elements = tuple(mulclose(gens))
             self.degree = d
-            self.amenability_reason = amenability_reason or f"finite (order {len(self.elements)})"
-        elif kind in ("z_translations", "z_finitary", "z_stabilizer"):
+            n = len(self.elements)
+            self.amenability_reason = "trivial" if n == 1 else f"finite (order {n})"
+        elif kind in _FAMILY_REASONS:
+            if kind == "z_stabilizer" and point is None:
+                raise ValueError("stabilizer family needs its point")
             self.elements = None
             self.degree = None
-            if kind == "z_translations":
-                self.amenability_reason = amenability_reason or "infinite cyclic"
-            elif kind == "z_finitary":
-                self.amenability_reason = amenability_reason or "locally finite ⋊ Z"
-            else:
-                if point is None:
-                    raise ValueError("stabilizer family needs its point")
-                self.amenability_reason = amenability_reason or "(locally finite)-by-Z"
+            self.amenability_reason = _FAMILY_REASONS[kind]
         else:
             raise ValueError(f"unknown kind {kind!r}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def generated(gens: Iterable[Perm], reason=None) -> "PermGroup":
-        return PermGroup("finite", gens, amenability_reason=reason)
+    def generated(gens: Iterable[Perm]) -> "PermGroup":
+        return PermGroup("finite", gens)
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
         _check_degree(degree)
-        return PermGroup.generated([Perm.identity(degree)], reason="trivial")
+        return PermGroup.generated([Perm.identity(degree)])
 
     @staticmethod
     def symmetric(degree: int) -> "PermGroup":
@@ -404,8 +397,7 @@ def check_orbit_preservation(F: PermGroup, Fp: PermGroup) -> bool:
 def point_stabilizer(Fp: PermGroup, a: int) -> PermGroup:
     """The subgroup of Fp fixing the color a."""
     if Fp.kind == "finite":
-        els = [p for p in Fp.elements if p(a) == a]
-        return PermGroup.generated(els, reason="trivial" if len(els) == 1 else None)
+        return PermGroup.generated([p for p in Fp.elements if p(a) == a])
     if Fp.kind == "z_finitary":
         return PermGroup("z_stabilizer", point=a)
     raise ValueError(f"point stabilizer unsupported for kind {Fp.kind!r}")

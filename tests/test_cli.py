@@ -958,6 +958,7 @@ ACCEPTED = [
     ["certify", "--out", "-", "--preset", "", "--config="],
     ["classify", "--element", "g3 g0^-1", "--preset", "p"],
     ["classify", "--element", "-g0 g1", "--el=--x"],
+    ["classify", "--element", "-1.5"],
     ["orbit", "--config", "c.json", "--word-length", "4", "--depth", "12"],
     ["witness"],
     ["witness", "--out", "w.json", "--pres", "pslz"],
@@ -989,6 +990,8 @@ REJECTED = [
     ["certify", "--help=1"],
     ["classify", "--preset", "p"],
     ["classify", "--element"],
+    # argparse's negative-number pattern has no exponent
+    ["classify", "--element", "-1e5"],
     ["orbit", "--seed", "1"],
     ["witness", "--depth", "3"],
     ["verify"],

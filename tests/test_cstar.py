@@ -276,11 +276,28 @@ def test_annihilation_reads_the_letters_past_the_depth_that_a_needs():
     assert report.failures[0][1] == "(1, 0, 2) -> (2, 1, 0), (1, 0, 2), (2, 0, 2)"
 
 
+@pytest.mark.parametrize("preset, reason", [("g-alt3-sym3", "finite (order 2)"),
+                                            ("z-translations", "(locally finite)-by-Z")],
+                         ids=["g-alt3-sym3", "z-translations"])
+def test_certify_builds_the_edge_stabilizer_once(monkeypatch, preset, reason):
+    # the stabilizer's reason and the witnesses' sigma come from one closure
+    calls = []
+
+    def counted(Fp, a):
+        calls.append(a)
+        return point_stabilizer(Fp, a)
+
+    monkeypatch.setattr(cstar_obstruction, "point_stabilizer", counted)
+    cert = build_certificate({"preset": preset, "word_length": 2})
+    assert cert["status"] == "VALID" and calls == [0]
+    assert cert["group"]["edge_stabilizer_amenability"] == reason
+
+
 def test_overlapping_witnesses_give_the_pinned_disjoint_support_certificate(monkeypatch):
     # the same fixator on both sides, with the fixation stage passed, fails
     # at disjoint support: the body is the one the two-pass pipeline wrote
     a, _ = disjoint_support_pair(ALT3, SYM3, DirectedEdge(V0, 0))
-    monkeypatch.setattr(cstar_obstruction, "disjoint_support_pair", lambda F, Fp, e: (a, a))
+    monkeypatch.setattr(cstar_obstruction, "disjoint_support_pair", lambda F, Fp, e, sigma: (a, a))
     monkeypatch.setattr(cstar_obstruction, "fixes_half_tree_pointwise", lambda g, h: True)
     cert = build_certificate({"preset": "g-alt3-sym3"})
     assert cert["status"] == "INVALID:disjoint_support"

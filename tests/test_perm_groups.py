@@ -193,6 +193,22 @@ def test_point_stabilizer_integer_family():
     assert stab.contains(sample) and not sample.is_identity()
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: PermGroup.trivial(3), id="trivial-3"),
+    pytest.param(lambda: PermGroup.cyclic(1), id="cyclic-1"),
+    pytest.param(lambda: PermGroup.alternating(2), id="alternating-2"),
+    pytest.param(lambda: PermGroup.generated([Perm(range(4))] * 2), id="listed-identity"),
+    pytest.param(lambda: point_stabilizer(PermGroup.cyclic(3), 0), id="stabilizer-order-1"),
+    pytest.param(lambda: point_stabilizer(PermGroup.symmetric(4), 0), id="stabilizer-order-6"),
+])
+def test_reason_is_trivial_exactly_at_order_one(build):
+    # the reason follows from the group, whichever constructor built it
+    G = build()
+    n = len(G.elements)
+    assert G.amenability_reason == ("trivial" if n == 1 else f"finite (order {n})")
+    assert G.describe()["amenability_reason"] == G.amenability_reason
+
+
 def test_group_table_validation():
     table, e, inv = check_group_table(cyclic_table(4))
     assert table == tuple(map(tuple, cyclic_table(4)))
